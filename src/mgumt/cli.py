@@ -2,8 +2,9 @@
 traces, grammar compilation, derivation replay, scripted learning and a
 teaching REPL.
 
-Exit codes: 0 success, 1 clean rejection or unrealizable meaning, 2 usage or
-file-format errors.  UMT_BUDGET overrides derivation and production budgets.
+Exit codes: 0 success, 1 clean rejection, unrealizable meaning or a parser
+or semantic limit, 2 usage or file-format errors.  UMT_BUDGET overrides
+derivation and production budgets.
 """
 
 from __future__ import annotations
@@ -20,13 +21,17 @@ from .grammar import (
 from .learner import LearnerState, NoRepairFound, express, ingest, repair
 from .mcfg import EmptyLexicon, compile_grammar, rule_dump
 from .teacher import GoldGrammar, ScriptInvalid, judge, parse_script, run_session
-from .terms import TermSyntaxError, parse_term, render_term
+from .terms import NonTerminating, TermSyntaxError, parse_term, render_term
 from .transducer import (
-    UMP, ParseRejected, Unrealizable, produce, recognize, understand,
+    UMP, ParseRejected, ParserBudget, SemanticStuck, Unrealizable, produce,
+    recognize, understand,
 )
 
 FORMAT_ERRORS = (LexiconError, TermSyntaxError, ScriptInvalid, EmptyLexicon,
                  FileNotFoundError, ValueError)
+# the recognizer recurses once per step, so deep inputs exhaust the stack
+LIMIT_ERRORS = (RecursionError, NonTerminating, ParserBudget,
+                SemanticStuck)
 
 
 def _budget(args) -> int | None:
@@ -252,6 +257,9 @@ def main(argv=None) -> int:
     except FORMAT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except LIMIT_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ fuse (eat + -s -> eats), which is how inflected surface forms arise.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, replace as dc_replace
 
 from .terms import (
     LambdaTerm, alpha_canonical, apply, beta_step, is_normal, parse_term,
@@ -53,22 +53,6 @@ class Feature:
 
     def __repr__(self):
         return _PREFIX.get(self.kind, "") + self.ident
-
-
-def base(ident):
-    return Feature(BASE, ident)
-
-
-def sel(ident):
-    return Feature(SEL, ident)
-
-
-def pos(ident):
-    return Feature(POS, ident)
-
-
-def neg(ident):
-    return Feature(NEG, ident)
 
 
 def parse_feature(token: str) -> Feature:
@@ -506,6 +490,3 @@ def complete_derivations(lex: Lexicon,
 
     return DerivationSearch(trees, complete, exhausted)
 
-
-def derivable_signs(lex: Lexicon, budget: int | None = None) -> list[Sign]:
-    return complete_derivations(lex, budget).complete_signs()

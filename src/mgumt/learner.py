@@ -49,14 +49,13 @@ class NoRepairFound(Exception):
 @dataclass
 class Alignment:
     """What two items have in common and where they differ."""
-    kind: str                               # pair | window | analogy | slot | chars
+    kind: str                               # pair | window | analogy | chars
     shared_exponent_segments: list[list[str]]
     residue_exponents: tuple[list[str], list[str]]
     shared_semantic_subterm: LambdaTerm | None
     semantic_residues: tuple[LambdaTerm, LambdaTerm] | None
     source: object = None                   # the new item (UMP)
     target: object = None                   # entry or endorsed UMP
-    token_pairs: list = field(default_factory=list)   # analogy char pairs
     score: int = 0
 
     def key(self):
@@ -193,13 +192,9 @@ def align(a, b):
     shared = [ta[i:i + n] for i, _, n in blocks]
     diff = semantic_diff(_sem(a), _sem(b))
     residues = diff if diff else None
-    pairs = []
-    if len(ra) == len(rb):
-        pairs = list(zip(ra, rb))
     return Alignment("pair", shared, (ra, rb),
                      largest_common_subterm(_sem(a), _sem(b)), residues,
-                     source=a, target=b, token_pairs=pairs,
-                     score=sum(n for *_, n in blocks))
+                     source=a, target=b, score=sum(n for *_, n in blocks))
 
 
 # --- learner state ---------------------------------------------------------------
@@ -222,7 +217,6 @@ class LearnerState:
     fresh_var_counter: int = 0
     merged_constants: dict[VariableName, VariableName] = field(default_factory=dict)
     paradigms: list[ParadigmRecord] = field(default_factory=list)
-    snapshots: list[tuple[int, Lexicon]] = field(default_factory=list)
     revisions: list[str] = field(default_factory=list)
     blacklist: set = field(default_factory=set)
 
@@ -233,7 +227,7 @@ class LearnerState:
             dict(self.merged_constants),
             [ParadigmRecord(p.stem_base, p.licensee, p.result_base,
                             list(p.suffixes)) for p in self.paradigms],
-            list(self.snapshots), list(self.revisions), set(self.blacklist))
+            list(self.revisions), set(self.blacklist))
         return twin
 
     def fresh_base(self) -> str:
@@ -269,23 +263,27 @@ class LearnerState:
             return Abs(term.binder, self.map_meaning(term.body))
         return term
 
-    def derivable(self, ump: UMP) -> bool:
-        if not len(self.lexicon):
-            return False
-        want = self.map_meaning(ump.meaning)
+    def derivation(self, exponent: str, meaning: LambdaTerm):
+        """The first complete derivation of the exponent with the meaning,
+        in enumeration order, or None; the search stops on it."""
+        found = []
 
         def hit(tree):
-            return (tree.sign.exponent == ump.exponent
-                    and alpha_equivalent(tree.sign.semantics, want))
+            if (tree.sign.exponent == exponent
+                    and alpha_equivalent(tree.sign.semantics, meaning)):
+                found.append(tree)
+            return bool(found)
 
-        search = complete_derivations(self.lexicon, stop_when=hit)
-        return any(hit(t) for t in search.complete)
+        if len(self.lexicon):
+            complete_derivations(self.lexicon, stop_when=hit)
+        return found[0] if found else None
+
+    def derivable(self, ump: UMP) -> bool:
+        return self.derivation(ump.exponent,
+                               self.map_meaning(ump.meaning)) is not None
 
     def covers_endorsed(self) -> bool:
         return all(self.derivable(u) for u in self.endorsed)
-
-    def snapshot(self):
-        self.snapshots.append((self.time, self.lexicon))
 
 
 def _entry(exponent_tokens, lexical, features, semantics) -> Sign:
@@ -325,16 +323,13 @@ def factor(state: LearnerState, alignment: Alignment) -> LearnerState:
 
 
 def _stage_factor(state: LearnerState, al: Alignment):
-    if al.kind == "pair":
-        if isinstance(al.target, Sign) or isinstance(al.source, Sign):
-            return _stage_pair(state, al)
+    if al.kind == "pair" and (isinstance(al.target, Sign)
+                              or isinstance(al.source, Sign)):
+        return _stage_pair(state, al)
+    if al.kind in ("pair", "analogy"):
         return _stage_analogy(state, al) or _stage_slot(state, al)
     if al.kind == "window":
         return _stage_window(state, al)
-    if al.kind == "analogy":
-        return _stage_analogy(state, al)
-    if al.kind == "slot":
-        return _stage_slot(state, al)
     return None
 
 
@@ -561,14 +556,7 @@ def _stage_slot(state: LearnerState, al: Alignment):
         return None
     sem_new, _ = al.semantic_residues
     want = " ".join(rb)
-    target_sem = state.map_meaning(old.meaning)
-
-    def hit(tree):
-        return (tree.sign.exponent == old.exponent
-                and alpha_equivalent(tree.sign.semantics, target_sem))
-
-    search = complete_derivations(state.lexicon, stop_when=hit)
-    tree = next((t for t in search.complete if hit(t)), None)
+    tree = state.derivation(old.exponent, state.map_meaning(old.meaning))
     if tree is None:
         return None
     slot_feats = None
@@ -632,7 +620,6 @@ def ingest(state: LearnerState, ump: UMP) -> LearnerState:
     state.time += 1
     if state.derivable(ump):
         state.endorsed.append(ump)
-        state.snapshot()
         return state
     progress, rounds = True, 0
     while not state.derivable(ump) and progress and rounds < 25:
@@ -644,13 +631,6 @@ def ingest(state: LearnerState, ump: UMP) -> LearnerState:
                 continue
             staged = state.clone()
             note = _stage_factor(staged, al)
-            if note is None and al.kind == "analogy":
-                al2 = Alignment("slot", al.shared_exponent_segments,
-                                al.residue_exponents, al.shared_semantic_subterm,
-                                al.semantic_residues, al.source, al.target,
-                                al.token_pairs, al.score)
-                staged = state.clone()
-                note = _stage_factor(staged, al2)
             if note is None:
                 continue
             if {sign_key(e) for e in staged.lexicon.entries} == before:
@@ -667,7 +647,6 @@ def ingest(state: LearnerState, ump: UMP) -> LearnerState:
         state.revisions.append(f"stored whole pair {ump!r}")
     state.endorsed.append(ump)
     _generalize(state)
-    state.snapshot()
     return state
 
 
@@ -860,17 +839,6 @@ def _r2_after_addition(state: LearnerState, added: Sign):
                 state.revisions.append(note + f" (irregular {added.exponent!r})")
 
 
-def _producible(state: LearnerState, utterance: str, meaning: LambdaTerm) -> bool:
-    def hit(tree):
-        return (tree.sign.exponent == utterance
-                and alpha_equivalent(tree.sign.semantics, meaning))
-
-    if not len(state.lexicon):
-        return False
-    search = complete_derivations(state.lexicon, stop_when=hit)
-    return any(hit(t) for t in search.complete)
-
-
 def repair(state: LearnerState, punished: tuple[str, LambdaTerm]) -> LearnerState:
     """Search the repair operators for a revision that keeps all endorsed
     pairs derivable and stops the punished production."""
@@ -882,11 +850,10 @@ def repair(state: LearnerState, punished: tuple[str, LambdaTerm]) -> LearnerStat
         note = _stage_morpheme_split(staged, stem, plural)
         if not staged.covers_endorsed():
             continue
-        if _producible(staged, utterance, meaning) \
+        if staged.derivation(utterance, meaning) is not None \
                 and not _overgeneralization_waived(staged, utterance):
             continue
         _apply_gate(state, staged, None, "repair R1: " + note)
-        state.snapshot()
         return state
     # R2: suppletion blocking, when an irregular alternative already exists
     for record in state.paradigms:
@@ -901,7 +868,6 @@ def repair(state: LearnerState, punished: tuple[str, LambdaTerm]) -> LearnerStat
                 if not staged.covers_endorsed():
                     continue
                 _apply_gate(state, staged, None, "repair R2: " + note)
-                state.snapshot()
                 return state
     state.revisions.append(f"no repair found for {utterance!r}; logged")
     raise NoRepairFound(utterance)

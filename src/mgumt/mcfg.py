@@ -394,10 +394,6 @@ def compile_grammar(lex: Lexicon) -> CompiledGrammar:
     return CompiledGrammar(lex, final, [s for s in starts if s in reachable])
 
 
-def compile_rules(lex: Lexicon) -> list[McfgRule]:
-    return compile_grammar(lex).rules
-
-
 def rule_dump(grammar: CompiledGrammar) -> str:
     return "\n".join(render_rule(r) for r in grammar.rules) + "\n"
 

@@ -190,7 +190,7 @@ def apply(f: LambdaTerm, a: LambdaTerm) -> LambdaTerm:
     return App(f, a)
 
 
-def _find_redex_step(t: LambdaTerm):
+def beta_step(t: LambdaTerm) -> LambdaTerm | None:
     """Contract the leftmost-outermost redex; None if t is normal.
 
     Applications of EMPTY count as redexes so normal forms never contain the
@@ -203,37 +203,40 @@ def _find_redex_step(t: LambdaTerm):
             return t.arg
         if t.arg is EMPTY:
             return t.fun
-        step = _find_redex_step(t.fun)
+        step = beta_step(t.fun)
         if step is not None:
             return App(step, t.arg)
-        step = _find_redex_step(t.arg)
+        step = beta_step(t.arg)
         if step is not None:
             return App(t.fun, step)
         return None
     if isinstance(t, Abs):
-        step = _find_redex_step(t.body)
+        step = beta_step(t.body)
         if step is not None:
             return Abs(t.binder, step)
         return None
     return None
 
 
-def beta_step(t: LambdaTerm) -> LambdaTerm | None:
-    """One leftmost-outermost reduction step, or None when t is normal."""
-    return _find_redex_step(t)
-
-
 def is_normal(t: LambdaTerm) -> bool:
-    return _find_redex_step(t) is None
+    return beta_step(t) is None
 
 
 def beta_reduce(t: LambdaTerm, max_steps: int = 10_000) -> LambdaTerm:
-    """Normalize by repeated leftmost-outermost steps."""
-    for _ in range(max_steps):
-        nxt = _find_redex_step(t)
-        if nxt is None:
-            return t
-        t = nxt
+    """Normalize by repeated leftmost-outermost steps.
+
+    A term that grows deeper than the stack allows within the step budget
+    (e.g. (\\x.x(x))(\\y.y(y)(y))) also counts as having no normal form.
+    """
+    try:
+        for _ in range(max_steps):
+            nxt = beta_step(t)
+            if nxt is None:
+                return t
+            t = nxt
+    except RecursionError:
+        raise NonTerminating("term outgrew the recursion limit "
+                             "before reaching a normal form") from None
     raise NonTerminating(f"no normal form within {max_steps} steps")
 
 

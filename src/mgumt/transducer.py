@@ -78,7 +78,6 @@ class Step:
 class RecognizeResult:
     accepted: bool
     steps: list[Step]
-    scans: list        # (rule, index) in scan order
     position: int = 0
     expected: frozenset = frozenset()
 
@@ -131,13 +130,13 @@ def recognize(grammar: CompiledGrammar, utterance,
         elif consumed == deepest[0]:
             deepest[1].update(expecting)
 
-    def rec(input_toks, queue, steps, scans):
+    def rec(input_toks, queue, steps):
         if budget[0] <= 0:
             raise ParserBudget(f"no parse within {max_steps} steps")
         if not queue:
             if not input_toks:
                 steps.append(Step("accept", None, input_toks, queue))
-                return steps, scans
+                return steps
             fail(len(toks) - len(input_toks), ())
             return None
         head = queue[0]
@@ -156,12 +155,10 @@ def recognize(grammar: CompiledGrammar, utterance,
             budget[0] -= 1
             n = len(steps)
             steps.append(Step("scan", axiom, input_toks, queue))
-            scans.append((axiom, head.indices[0]))
-            got = rec(left, rest, steps, scans)
+            got = rec(left, rest, steps)
             if got is not None:
                 return got
             del steps[n:]
-            scans.pop()
         for rule in expansions:
             budget[0] -= 1
             n = len(steps)
@@ -173,7 +170,7 @@ def recognize(grammar: CompiledGrammar, utterance,
             in_order = _sorted_queue(unsorted)
             if in_order != unsorted:
                 steps.append(Step("sort", None, input_toks, unsorted))
-            got = rec(input_toks, in_order, steps, scans)
+            got = rec(input_toks, in_order, steps)
             if got is not None:
                 return got
             del steps[n:]
@@ -181,11 +178,10 @@ def recognize(grammar: CompiledGrammar, utterance,
 
     for start in grammar.start_categories:
         queue = (QueueItem(start, (ROOT,)),)
-        got = rec(toks, queue, [], [])
+        got = rec(toks, queue, [])
         if got is not None:
-            steps, scans = got
-            return RecognizeResult(True, steps, scans)
-    return RecognizeResult(False, [], [], deepest[0], frozenset(deepest[1]))
+            return RecognizeResult(True, got)
+    return RecognizeResult(False, [], deepest[0], frozenset(deepest[1]))
 
 
 # --- semantic queue -------------------------------------------------------------
@@ -234,15 +230,14 @@ def understand(grammar: CompiledGrammar, utterance,
     steps: list[Step] = []
     queue: list[SemItem] = []
     # replay scans in accepted order; scanned items keep their syntactic index
-    for st in parse.steps:
+    for st, after in zip(parse.steps, parse.steps[1:]):
         if st.op != "scan":
             continue
         steps.append(Step("scan", st.rule, st.input, tuple(queue)))
         item = SemItem(st.rule.entry.semantics, st.queue[0].indices[0])
         queue.append(item)
         if item.term is EMPTY:
-            steps.append(Step("apply", None, _scan_after(st, st.input),
-                              tuple(queue)))
+            steps.append(Step("apply", None, after.input, tuple(queue)))
             queue.pop()
     ordered = _descending(queue)
     if ordered != tuple(queue):
@@ -289,17 +284,6 @@ def understand(grammar: CompiledGrammar, utterance,
                 f"no application possible among {len(queue)} items")
 
 
-def _scan_after(st: Step, input_now):
-    want = st.rule.entry.exponent.split()
-    toks = list(st.input)
-    for i, w in enumerate(want):
-        if toks and toks[0] == w:
-            toks.pop(0)
-        elif toks and toks[0].startswith(w):
-            toks[0] = "-" + toks[0][len(w):]
-    return tuple(toks)
-
-
 # --- production -----------------------------------------------------------------
 
 @dataclass
@@ -323,10 +307,9 @@ def produce(lexicon: Lexicon, meaning: LambdaTerm,
         raise Unrealizable(
             f"no derivation yields {render_term(meaning)}{extra}")
     first = matches[0]
-    alternatives = []
-    for t in matches[1:]:
-        if t.sign.exponent != first.sign.exponent:
-            alternatives.append(t.sign.exponent)
+    # complete_derivations keeps one tree per (exponent, meaning), so every
+    # further match is a distinct exponent
+    alternatives = [t.sign.exponent for t in matches[1:]]
     if alternatives:
         log.warning("ambiguous realization of %s: %r also possible",
                     render_term(meaning), alternatives)
@@ -340,12 +323,8 @@ def all_meanings(lexicon: Lexicon, utterance,
     toks = utterance if isinstance(utterance, str) else " ".join(utterance)
     target = " ".join(fuse_tokens(toks.split()))
     search = complete_derivations(lexicon, budget)
-    out = []
-    for t in search.complete:
-        if t.sign.exponent == target:
-            if not any(alpha_equivalent(t.sign.semantics, m) for m in out):
-                out.append(t.sign.semantics)
-    return out
+    return [t.sign.semantics for t in search.complete
+            if t.sign.exponent == target]
 
 
 @dataclass(frozen=True)

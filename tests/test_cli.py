@@ -97,6 +97,26 @@ def test_malformed_lexicon_exit_code(tmp_path, capsys):
     assert main(["compile", "--lexicon", str(bad)]) == 2
 
 
+EMBEDDING = TABLE_ONE + "that\t::\t=c n -k\t\\p.that(p)\nrat\t::\tn\trat\n"
+HOMOPHONES = (TABLE_ONE + "old\t::\t=n n\t\\x.old(x)\n"
+              + "old\t::\t=n n\t\\x.aged(x)\n")
+CONSTANT_EAT = TABLE_ONE.replace("\\x.\\y.eat(x)(y)", "eat")
+
+
+@pytest.mark.parametrize("command,lexicon,sentence", [
+    ("parse", EMBEDDING,
+     " ".join(["the rat eats that"] * 60 + ["the mouse eats cheese"])),
+    ("parse", HOMOPHONES, "the " + "old " * 10 + "mouse cheese eats"),
+    ("understand", CONSTANT_EAT, "the mouse eats cheese"),
+], ids=["recursion", "parser-budget", "semantic-stuck"])
+def test_limit_exit_code(command, lexicon, sentence, tmp_path, capsys):
+    path = tmp_path / "lex.mg"
+    path.write_text(lexicon, encoding="utf-8")
+    assert main([command, "--lexicon", str(path), "--input", sentence]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 def test_budget_env_override(gold_path, capsys, monkeypatch):
     monkeypatch.setenv("UMT_BUDGET", "1")
     assert main(["produce", "--lexicon", gold_path,

@@ -109,6 +109,14 @@ def test_beta_reduce_divergent_raises():
         beta_reduce(omega, max_steps=50)
 
 
+def test_beta_reduce_growing_term_raises():
+    # each step lengthens the application spine by one, so the term gets
+    # deeper than the stack long before the step budget runs out
+    growing = p("eat((\\x.x(x))(\\y.y(y)(y)))")
+    with pytest.raises(NonTerminating):
+        beta_reduce(growing, max_steps=2_000)
+
+
 def test_empty_never_inside_normal_forms():
     t = App(App(v("f"), EMPTY), v("a"))
     got = beta_reduce(t)

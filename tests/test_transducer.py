@@ -1,6 +1,6 @@
 import pytest
 
-from mgumt.fixtures import table_one, teaching_gold
+from mgumt.fixtures import TABLE_ONE, table_one, teaching_gold
 from mgumt.grammar import complete_derivations, load_lexicon
 from mgumt.mcfg import compile_grammar, enumerate_strings
 from mgumt.terms import alpha_equivalent, parse_term, render_term
@@ -178,7 +178,7 @@ def test_produce_x3_novel_sentence():
 def test_produce_x4_overgeneralizes_faithfully():
     r = produce(load_lexicon(X4), p("eat(carrot)(rats)"))
     assert r.utterance == "the rats eats carrot"
-    assert "the rats eat carrot" in r.alternatives
+    assert r.alternatives == ["the rats eat carrot"]
 
 
 def test_produce_unrealizable():
@@ -191,6 +191,10 @@ def test_all_meanings():
     assert len(got) == 1
     assert alpha_equivalent(got[0], p("eat(carrot)(rats)"))
     assert all_meanings(load_lexicon(X4), "rats the carrot") == []
+    homonym = load_lexicon(TABLE_ONE + "mouse\t::\tn\trodent\n")
+    got = all_meanings(homonym, "the mouse eats cheese")
+    assert [render_term(m) for m in got] == ["eat(cheese)(mouse)",
+                                             "eat(cheese)(rodent)"]
 
 
 # --- round trip -------------------------------------------------------------------
