@@ -23,15 +23,14 @@ from .mcfg import EmptyLexicon, compile_grammar, rule_dump
 from .teacher import GoldGrammar, ScriptInvalid, judge, parse_script, run_session
 from .terms import NonTerminating, TermSyntaxError, parse_term, render_term
 from .transducer import (
-    UMP, ParseRejected, ParserBudget, SemanticStuck, Unrealizable, produce,
-    recognize, understand,
+    UMP, ParseRejected, ParserBudget, Unrealizable, produce, recognize,
+    understand,
 )
 
 FORMAT_ERRORS = (LexiconError, TermSyntaxError, ScriptInvalid, EmptyLexicon,
                  FileNotFoundError, ValueError)
 # the recognizer recurses once per step, so deep inputs exhaust the stack
-LIMIT_ERRORS = (RecursionError, NonTerminating, ParserBudget,
-                SemanticStuck)
+LIMIT_ERRORS = (RecursionError, NonTerminating, ParserBudget)
 
 
 def _budget(args) -> int | None:

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from functools import total_ordering
 
 from .grammar import (
-    BASE, NEG, POS, SEL, DerivationTree, Feature, Lexicon, Sign,
-    render_features,
+    BASE, NEG, POS, SEL, Feature, Lexicon, Sign, render_features,
 )
 
 MERGE1, MERGE2, MERGE3, MOVE1, MOVE2, AXIOM = (
@@ -396,69 +395,6 @@ def compile_grammar(lex: Lexicon) -> CompiledGrammar:
 
 def rule_dump(grammar: CompiledGrammar) -> str:
     return "\n".join(render_rule(r) for r in grammar.rules) + "\n"
-
-
-# --- indices over derivation trees ---------------------------------------------
-
-@dataclass(frozen=True)
-class IndexedNode:
-    tree: DerivationTree
-    indices: tuple[NodeIndex, ...]
-    children: tuple["IndexedNode", ...]
-
-
-def index_derivation_tree(tree: DerivationTree,
-                          root: tuple[NodeIndex, ...] | None = None) -> IndexedNode:
-    """Mirror the MCFG index assignment onto a derivation tree: each sign of
-    each expression receives the address of the string material it
-    contributes."""
-    p = root if root is not None else (ROOT,) * len(tree.expression.signs)
-    if len(p) != len(tree.expression.signs):
-        raise ArityMismatch("index tuple does not match the expression")
-    rule = tree.rule
-    if not tree.children:
-        return IndexedNode(tree, p, ())
-    if rule == "λ-app":
-        return IndexedNode(tree, p, (index_derivation_tree(tree.children[0], p),))
-    if rule in (MERGE1, MERGE2, MERGE3):
-        a, b = tree.children
-        n_a = len(a.expression.signs) - 1   # a's chains
-        if rule == MERGE1:
-            pa = (p[0].child(0),)
-            pb = (p[0].child(1),) + p[1:]
-        elif rule == MERGE2:
-            pa = (p[0].child(1),) + p[1:1 + n_a]
-            pb = (p[0].child(0),) + p[1 + n_a:]
-        else:
-            pa = (p[0],) + p[1:1 + n_a]
-            pb = (p[1 + n_a],) + p[2 + n_a:]
-        return IndexedNode(tree, p, (index_derivation_tree(a, pa),
-                                     index_derivation_tree(b, pb)))
-    if rule in (MOVE1, MOVE2):
-        child = tree.children[0]
-        expr = child.expression
-        licensor = expr.head.stype.features[0]
-        mover = next(i for i, s in enumerate(expr.signs[1:], start=1)
-                     if s.stype.features
-                     and s.stype.features[0] == Feature(NEG, licensor.ident))
-        if rule == MOVE1:
-            rest = iter(p[1:])
-            pc = [p[0].child(1)]
-            for i in range(1, len(expr.signs)):
-                pc.append(p[0].child(0) if i == mover else next(rest))
-        else:
-            pc = list(p)
-        return IndexedNode(tree, p,
-                           (index_derivation_tree(child, tuple(pc)),))
-    raise ValueError(f"unknown rule {rule!r}")
-
-
-def indexed_leaves(node: IndexedNode):
-    """(entry sign, head index) for every lexical leaf, in tree order."""
-    if not node.children:
-        yield node.tree.expression.head, node.indices[0]
-    for child in node.children:
-        yield from indexed_leaves(child)
 
 
 # --- bounded string enumeration (equivalence oracle) ----------------------------

@@ -3,9 +3,12 @@
 Understanding runs an incremental top-down recognizer (priority queue of
 predicted categories ordered by node index, expand/scan/sort/accept) and
 feeds every scanned sign's semantics into a second queue sorted in reverse
-index order, where lambda application assembles the logical form from the
-deepest nodes outward.  Production searches the derivation engine for the
-first complete derivation realizing a logical form.
+index order.  The accepted expansions, replayed bottom-up, then say which
+items combine: wherever a rule concatenates the selector's or licensor's
+string with another, lambda application puts their meanings together, as
+merge and move do in the derivation engine.  Production searches the
+derivation engine for the first complete derivation realizing a logical
+form.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from .mcfg import (
     assign_child_indices, compile_grammar,
 )
 from .terms import (
-    EMPTY, LambdaTerm, Abs, App, alpha_equivalent, beta_reduce, beta_step,
-    render_term,
+    EMPTY, LambdaTerm, App, NonTerminating, alpha_equivalent, beta_reduce,
+    beta_step, render_term,
 )
 
 log = logging.getLogger(__name__)
@@ -32,10 +35,6 @@ class ParseRejected(Exception):
         super().__init__(f"rejected at token {position}; expected one of: {exp}")
         self.position = position
         self.expected = expected
-
-
-class SemanticStuck(Exception):
-    pass
 
 
 class Unrealizable(Exception):
@@ -205,10 +204,6 @@ class UnderstandResult:
         return "\n".join(f"{i}\t{s.render()}" for i, s in enumerate(self.steps, 1))
 
 
-def _descending(items):
-    return tuple(sorted(items, key=lambda it: it.index, reverse=True))
-
-
 def _combine(f: SemItem, a: SemItem, result_index: NodeIndex) -> SemItem:
     term = App(f.term, a.term)
     stepped = beta_step(term)
@@ -217,20 +212,30 @@ def _combine(f: SemItem, a: SemItem, result_index: NodeIndex) -> SemItem:
 
 def understand(grammar: CompiledGrammar, utterance,
                max_steps: int = 10_000) -> UnderstandResult:
-    """Parse, then assemble the meaning on the reverse-ordered queue.
+    """Parse, then compose the meaning along the accepted derivation.
 
-    Empty semantic items vanish by identity application as soon as they are
-    pushed; after the last scan the queue is sorted once in descending index
-    order and application proceeds pairwise from the deepest item, dropping
-    the last index digit whenever two items complete an application.
+    Scans push their sign's semantics with the scanned node's index; empty
+    items vanish by identity application as soon as they are pushed.  The
+    queue is then sorted once in descending index order, and the accepted
+    expansions are replayed bottom-up: a rule component that concatenates
+    two slots applies the selector's or licensor's item (slot (0, 0)) to
+    the other one, as merge and move do, and the combined item takes the
+    parent of the deeper index; a single-slot component passes its item
+    through, so a merge-3 or move-2 chain keeps its meaning until it lands.
+    Redexes left in a combined item, or in the final one, are contracted in
+    place.
     """
     parse = recognize(grammar, utterance, max_steps)
     if not parse.accepted:
         raise ParseRejected(parse.position, parse.expected)
     steps: list[Step] = []
     queue: list[SemItem] = []
+    # each prediction's semantic item per component (None where empty), keyed
+    # by id(): cheaper than hashing a QueueItem, and parse.steps keeps them
+    held: dict[int, tuple[SemItem | None, ...]] = {}
     # replay scans in accepted order; scanned items keep their syntactic index
-    for st, after in zip(parse.steps, parse.steps[1:]):
+    pairs = list(zip(parse.steps, parse.steps[1:]))
+    for st, after in pairs:
         if st.op != "scan":
             continue
         steps.append(Step("scan", st.rule, st.input, tuple(queue)))
@@ -239,49 +244,56 @@ def understand(grammar: CompiledGrammar, utterance,
         if item.term is EMPTY:
             steps.append(Step("apply", None, after.input, tuple(queue)))
             queue.pop()
-    ordered = _descending(queue)
+            item = None
+        held[id(st.queue[0])] = (item,)
+    ordered = tuple(sorted(queue, key=lambda it: it.index, reverse=True))
     if ordered != tuple(queue):
         steps.append(Step("sort", None, (), tuple(queue)))
     queue = list(ordered)
+    budget = max_steps
 
-    guard = max_steps
-    while True:
-        guard -= 1
-        if guard <= 0:
-            raise SemanticStuck("semantic queue did not settle")
-        if len(queue) == 1 and beta_step(queue[0].term) is None:
-            steps.append(Step("understand", None, (), tuple(queue)))
-            return UnderstandResult(queue[0].term, steps, parse)
-        # in-place reduction of the deepest reducible item
-        hot = next((i for i, it in enumerate(queue)
-                    if beta_step(it.term) is not None), None)
-        if hot is not None:
+    def settle(at: int) -> SemItem:
+        """Contract the redexes left in queue[at], one apply step each."""
+        nonlocal budget
+        item = queue[at]
+        while (reduced := beta_step(item.term)) is not None:
+            budget -= 1
+            if budget <= 0:
+                raise NonTerminating("semantic queue did not settle")
             steps.append(Step("apply", None, (), tuple(queue)))
-            queue[hot] = SemItem(beta_step(queue[hot].term), queue[hot].index)
+            item = queue[at] = SemItem(reduced, item.index)
+        return item
+
+    # children are predicted after their parent, so the reversed trace
+    # reaches every expansion after its children's
+    for st, after in reversed(pairs):
+        if st.op != "expand":
             continue
-        # deepest adjacent pair with a function side; exchange when only the
-        # shallower item is an abstraction
-        done = False
-        for i in range(len(queue) - 1):
-            deep, shallow = queue[i], queue[i + 1]
-            if isinstance(deep.term, Abs):
-                f, a = deep, shallow
-            elif isinstance(shallow.term, Abs):
-                f, a = shallow, deep
-            else:
+        children = [held.pop(id(c)) for c in after.queue[:len(st.rule.rhs)]]
+        comps = []
+        for comp in st.rule.pattern:
+            if len(comp) == 1:
+                (r, c), = comp
+                comps.append(children[r][c])
+                continue
+            r, c = comp[1] if comp[0] == (0, 0) else comp[0]
+            f, a = children[0][0], children[r][c]
+            if f is None or a is None:
+                comps.append(a if f is None else f)
                 continue
             steps.append(Step("apply", None, (), tuple(queue)))
-            combined = _combine(f, a, deep.index.parent())
-            queue[i:i + 2] = [combined]
-            ordered = _descending(queue)
-            if ordered != tuple(queue):
-                steps.append(Step("sort", None, (), tuple(queue)))
-                queue = list(ordered)
-            done = True
-            break
-        if not done:
-            raise SemanticStuck(
-                f"no application possible among {len(queue)} items")
+            combined = _combine(f, a, max(f.index, a.index).parent())
+            queue[:] = [it for it in queue if it is not f and it is not a]
+            at = next((i for i, it in enumerate(queue)
+                       if it.index < combined.index), len(queue))
+            queue.insert(at, combined)
+            comps.append(settle(at))
+        held[id(st.queue[0])] = tuple(comps)
+    (root,) = held[id(parse.steps[0].queue[0])]
+    if root is not None:
+        root = settle(0)
+    steps.append(Step("understand", None, (), tuple(queue)))
+    return UnderstandResult(EMPTY if root is None else root.term, steps, parse)
 
 
 # --- production -----------------------------------------------------------------

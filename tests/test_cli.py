@@ -107,14 +107,23 @@ CONSTANT_EAT = TABLE_ONE.replace("\\x.\\y.eat(x)(y)", "eat")
     ("parse", EMBEDDING,
      " ".join(["the rat eats that"] * 60 + ["the mouse eats cheese"])),
     ("parse", HOMOPHONES, "the " + "old " * 10 + "mouse cheese eats"),
-    ("understand", CONSTANT_EAT, "the mouse eats cheese"),
-], ids=["recursion", "parser-budget", "semantic-stuck"])
+], ids=["recursion", "parser-budget"])
 def test_limit_exit_code(command, lexicon, sentence, tmp_path, capsys):
     path = tmp_path / "lex.mg"
     path.write_text(lexicon, encoding="utf-8")
     assert main([command, "--lexicon", str(path), "--input", sentence]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_understand_constant_semantics(tmp_path, capsys):
+    # a head whose semantics is a constant still composes along the parse
+    path = tmp_path / "lex.mg"
+    path.write_text(CONSTANT_EAT, encoding="utf-8")
+    assert main(["understand", "--lexicon", str(path),
+                 "--input", "the mouse eats cheese"]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()
+    assert rows[-1] == "meaning\teat(cheese)(mouse)"
 
 
 def test_budget_env_override(gold_path, capsys, monkeypatch):

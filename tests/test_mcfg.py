@@ -7,7 +7,7 @@ from mgumt.grammar import (
 from mgumt.mcfg import (
     ROOT, ArityMismatch, CompiledGrammar, EmptyLexicon, McfgCategory,
     NodeIndex, assign_child_indices, compile_grammar, enumerate_strings,
-    index_compare, index_derivation_tree, indexed_leaves, render_rule,
+    index_compare, render_rule,
 )
 
 
@@ -138,41 +138,6 @@ def test_assign_child_indices_arity_checked(gold):
     rule = _rule(gold, "⟨:c⟩")
     with pytest.raises(ArityMismatch):
         assign_child_indices(rule, [ROOT, idx("1")])
-
-
-def test_derivation_tree_indexing_matches_figure():
-    search = complete_derivations(table_one(), 20)
-    tree = next(t for t in search.complete
-                if t.sign.exponent == "the mouse eats cheese")
-    indexed = index_derivation_tree(tree)
-    leaves = {(sign.exponent, repr(i)) for sign, i in indexed_leaves(indexed)}
-    assert leaves == {
-        ("the", "100"), ("mouse", "101"), ("eat", "110"), ("-s", "1110"),
-        ("cheese", "11110"), ("", "11111"), ("", "0"),
-    }
-    # index sorting of the overt leaves reproduces surface word order
-    overt = sorted(((i, s.exponent) for s, i in indexed_leaves(indexed)
-                    if s.exponent), key=lambda p: p[0])
-    assert [w for _, w in overt] == ["the", "mouse", "eat", "-s", "cheese"]
-
-
-def test_inner_nodes_match_figure():
-    search = complete_derivations(table_one(), 20)
-    tree = next(t for t in search.complete
-                if t.sign.exponent == "the mouse eats cheese")
-    indexed = index_derivation_tree(tree)
-    seen = set()
-
-    def walk(node):
-        seen.add(tuple(map(repr, node.indices)))
-        for c in node.children:
-            walk(c)
-
-    walk(indexed)
-    for expected in [("ε",), ("1",), ("11", "10"), ("111", "110", "10"),
-                     ("1111", "110", "10"), ("1111", "110"),
-                     ("11111", "110", "11110"), ("110", "11110"), ("10",)]:
-        assert expected in seen
 
 
 # --- weak equivalence of engine and compiled grammar ----------------------------

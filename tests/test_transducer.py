@@ -1,12 +1,13 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mgumt.fixtures import TABLE_ONE, table_one, teaching_gold
-from mgumt.grammar import complete_derivations, load_lexicon
+from mgumt.grammar import LexiconError, complete_derivations, load_lexicon
 from mgumt.mcfg import compile_grammar, enumerate_strings
 from mgumt.terms import alpha_equivalent, parse_term, render_term
 from mgumt.transducer import (
-    ParseRejected, SemanticStuck, Unrealizable, all_meanings, produce,
-    recognize, understand, understand_utterance,
+    ParseRejected, Unrealizable, all_meanings, produce, recognize, understand,
+    understand_utterance,
 )
 
 p = parse_term
@@ -158,6 +159,84 @@ def test_understand_single_word_grammar():
 def test_understand_rejects_cleanly(gold):
     with pytest.raises(ParseRejected):
         understand(gold, "cheese eats the mouse")
+
+
+def test_understand_reduces_scanned_redex():
+    lex = load_lexicon("mouse\t::\tc\t(\\x.x)(mouse)\n")
+    u = understand_utterance(lex, "mouse")
+    assert render_term(u.meaning) == "mouse"
+    assert [s.op for s in u.steps] == ["scan", "apply", "understand"]
+
+
+# meanings follow the derivation: a modifier applies inside the subject, an
+# embedded clause is the argument of its complementiser, a move-2 chain keeps
+# its meaning until it lands, and a constant head is applied like any other
+DERIVATION_CASES = {
+    "modifier": (TABLE_ONE + "old\t::\t=n n\t\\x.old(x)\n",
+                 "the old mouse eats cheese", "eat(cheese)(old(mouse))"),
+    "embedding": (TABLE_ONE + "that\t::\t=c n -k\t\\p.that(p)\n"
+                  "rat\t::\tn\trat\n",
+                  "the rat eats that the mouse eats cheese",
+                  "eat(that(eat(cheese)(mouse)))(rat)"),
+    "move-2": ("mouse\t::\td -k -q\tmouse\n"
+               "sleeps\t::\t=d +k v\t\\x.sleep(x)\n"
+               "eps\t::\t=v +q c\t\\P.P\n",
+               "mouse sleeps", "sleep(mouse)"),
+    "constant-head": (TABLE_ONE.replace("\\x.\\y.eat(x)(y)", "eat"),
+                      "the mouse eats cheese", "eat(cheese)(mouse)"),
+}
+
+
+@pytest.mark.parametrize("lexicon,sentence,meaning",
+                         DERIVATION_CASES.values(), ids=DERIVATION_CASES)
+def test_understand_composes_along_derivation(lexicon, sentence, meaning):
+    lex = load_lexicon(lexicon)
+    assert render_term(understand_utterance(lex, sentence).meaning) == meaning
+
+
+def test_move_two_rule_is_exercised():
+    grammar = compile_grammar(load_lexicon(DERIVATION_CASES["move-2"][0]))
+    parse = recognize(grammar, "mouse sleeps")
+    assert "move-2" in {s.rule.provenance for s in parse.steps
+                        if s.op == "expand"}
+
+
+# --- differential: understand against the bottom-up engine -----------------------
+
+# Heads select one tier down (c > x > y), so every generated language is
+# finite; licensee chains of one or two features exercise move-1 and move-2.
+CLAUSES = ["=x c", "=x +k c", "=x +w c", "=x +k +w c", "=x +w +k c",
+           "=x =y c", "=x +k =y c", "=y c", "=y +k c"]
+PHRASES = ["=y x", "=y x -k", "=y =y x", "=y +k x", "=y +w =y x", "x",
+           "x -k", "x -k -w", "y", "y -k", "y -w", "y -k -w", "y -w -k"]
+SEMANTICS = ["eps", "{c}", "\\a.{c}(a)", "\\a.\\b.{c}(a)(b)",
+             "\\P.\\Q.Q(P)", "\\a.a"]
+
+
+@st.composite
+def tiered_lexicons(draw):
+    lines = []
+    for i in range(draw(st.integers(2, 6))):
+        feats = draw(st.sampled_from(PHRASES if i else CLAUSES))
+        exponent = draw(st.sampled_from(["eps", "pa", "ko", "mi", "tu"]))
+        sem = draw(st.sampled_from(SEMANTICS)).format(c=f"s{i}")
+        lines.append(f"{exponent}\t::\t{feats}\t{sem}\n")
+    return "".join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tiered_lexicons())
+def test_property_understand_agrees_with_all_meanings(text):
+    try:
+        lex = load_lexicon(text)
+    except LexiconError:
+        return      # a drawn entry repeats another
+    grammar = compile_grammar(lex)
+    for exponent in {t.sign.exponent
+                     for t in complete_derivations(lex, 16).complete}:
+        meaning = understand(grammar, exponent).meaning
+        assert any(alpha_equivalent(meaning, m)
+                   for m in all_meanings(lex, exponent)), (text, exponent)
 
 
 # --- production -------------------------------------------------------------------
