@@ -14,7 +14,7 @@ from mgumt.teacher import GoldGrammar, run_session
 
 
 def main():
-    gold = GoldGrammar(teaching_gold(), budget=200)
+    gold = GoldGrammar(teaching_gold())
     log, learner = run_session(gold, SESSION_SCRIPT)
     stage = 0
     for event in log.events:

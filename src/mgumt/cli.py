@@ -3,8 +3,8 @@ traces, grammar compilation, derivation replay, scripted learning and a
 teaching REPL.
 
 Exit codes: 0 success, 1 clean rejection, unrealizable meaning or a parser
-or semantic limit, 2 usage or file-format errors.  UMT_BUDGET overrides
-derivation and production budgets.
+or semantic limit, 2 usage or file-format errors.  `produce` and `derive`
+take a bottom-up derivation budget from --budget, else from UMT_BUDGET.
 """
 
 from __future__ import annotations
@@ -29,13 +29,14 @@ from .transducer import (
 
 FORMAT_ERRORS = (LexiconError, TermSyntaxError, ScriptInvalid, EmptyLexicon,
                  FileNotFoundError, ValueError)
-# the recognizer recurses once per step, so deep inputs exhaust the stack
+# the parser's step budget, a meaning that does not normalize, and the term
+# layer's recursion, which very deep embeddings still exhaust
 LIMIT_ERRORS = (RecursionError, NonTerminating, ParserBudget)
 
 
 def _budget(args) -> int | None:
     env = os.environ.get("UMT_BUDGET")
-    if getattr(args, "budget", None) is not None:
+    if args.budget is not None:
         return args.budget
     if env:
         return int(env)
@@ -115,7 +116,7 @@ def cmd_derive(args) -> int:
 
 
 def cmd_learn(args) -> int:
-    gold = GoldGrammar(_lexicon(args.gold), _budget(args))
+    gold = GoldGrammar(_lexicon(args.gold))
     script = parse_script(Path(args.script).read_text(encoding="utf-8"))
     log, learner = run_session(gold, script)
     sys.stdout.write(log.render())
@@ -131,7 +132,7 @@ def cmd_learn(args) -> int:
 
 
 def cmd_repl(args) -> int:
-    gold = GoldGrammar(_lexicon(args.gold), _budget(args)) if args.gold else None
+    gold = GoldGrammar(_lexicon(args.gold)) if args.gold else None
     learner = LearnerState()
     pending = None
     print("teaching repl; commands: teach <utt> | <term>, ask <term>, "
@@ -204,11 +205,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "produce, compile, derive, learn, repl")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, lexicon=True):
-        if lexicon:
-            sp.add_argument("--lexicon", required=True, help="lexicon file")
-        sp.add_argument("--budget", type=int, default=None,
-                        help="derivation budget (default: UMT_BUDGET or 10x lexicon)")
+    def common(sp, budget=False):
+        sp.add_argument("--lexicon", required=True, help="lexicon file")
+        if budget:
+            sp.add_argument("--budget", type=int, default=None,
+                            help="derivation budget (default: UMT_BUDGET or 10x lexicon)")
 
     sp = sub.add_parser("parse", help="top-down recognition with trace")
     common(sp)
@@ -221,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_understand)
 
     sp = sub.add_parser("produce", help="logical form to utterance")
-    common(sp)
+    common(sp, budget=True)
     sp.add_argument("--meaning", required=True)
     sp.set_defaults(fn=cmd_produce)
 
@@ -230,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_compile)
 
     sp = sub.add_parser("derive", help="bottom-up derivations, inference style")
-    common(sp)
+    common(sp, budget=True)
     sp.add_argument("--target", default=None, help="only derivations of this string")
     sp.set_defaults(fn=cmd_derive)
 
@@ -238,12 +239,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gold", required=True, help="teacher's gold lexicon")
     sp.add_argument("--script", required=True, help="session script file")
     sp.add_argument("--out", default=None, help="directory for lexicon snapshots")
-    sp.add_argument("--budget", type=int, default=None)
     sp.set_defaults(fn=cmd_learn)
 
     sp = sub.add_parser("repl", help="interactive teaching loop")
     sp.add_argument("--gold", default=None, help="judge against this lexicon")
-    sp.add_argument("--budget", type=int, default=None)
     sp.set_defaults(fn=cmd_repl)
     return p
 

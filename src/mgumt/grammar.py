@@ -146,18 +146,6 @@ class Expression:
         return " ".join(render_sign(s) for s in self.signs)
 
 
-def smc_eligible(expr: Expression) -> bool:
-    """True iff no licensor at the head's front faces two competing chains
-    (the shortest-movement constraint, checked before any move)."""
-    feats = expr.head.stype.features
-    if not feats or feats[0].kind != POS:
-        return True
-    licensee = Feature(NEG, feats[0].ident)
-    hits = sum(1 for s in expr.signs[1:]
-               if s.stype.features and s.stype.features[0] == licensee)
-    return hits <= 1
-
-
 def lexical_sign(exponent, features, semantics) -> Sign:
     return Sign(exponent, SyntacticType(True, tuple(features)), semantics)
 

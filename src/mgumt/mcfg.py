@@ -154,14 +154,6 @@ class NodeIndex:
 ROOT = NodeIndex()
 
 
-def index_compare(a: NodeIndex, b: NodeIndex) -> int:
-    """-1, 0 or 1; sorting axiom items by this order reproduces surface
-    word order."""
-    if a == b:
-        return 0
-    return -1 if a < b else 1
-
-
 def assign_child_indices(rule: McfgRule, parent_indices) -> list[tuple[NodeIndex, ...]]:
     """Distribute a parent's component indices over the rule's rhs.
 

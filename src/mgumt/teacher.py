@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 from .grammar import Lexicon, check_lexical_type, save_lexicon
 from .learner import LearnerState, NoRepairFound, express, ingest, repair
+from .mcfg import compile_grammar
 from .terms import LambdaTerm, alpha_equivalent, beta_reduce, parse_term, render_term
 from .transducer import UMP, Unrealizable, all_meanings
 
@@ -38,25 +39,24 @@ class Verdict(enum.Enum):
 @dataclass
 class GoldGrammar:
     """Hand-written expert grammar; its lexical entries must respect the
-    selector*/licensor* base licensee* type pattern."""
+    selector*/licensor* base licensee* type pattern.  It is compiled once,
+    for the parser that judges with it."""
     lexicon: Lexicon
-    budget: int | None = None
 
     def __post_init__(self):
         for entry in self.lexicon:
             if entry.stype.lexical and not check_lexical_type(entry.stype):
                 raise GoldLexiconInvalid(
                     f"entry {entry!r} violates the lexical type pattern")
-
-    def meanings(self, utterance: str) -> list[LambdaTerm]:
-        return all_meanings(self.lexicon, utterance, self.budget)
+        self.grammar = compile_grammar(self.lexicon)
 
 
 def judge(gold: GoldGrammar, utterance: str, meaning: LambdaTerm) -> Verdict:
-    """Parse-and-compare, not string lookup: novel but grammatical learner
-    productions are endorsed."""
+    """Parse-and-compare, not string lookup: the utterance is ungrammatical
+    if the gold grammar does not parse it, and endorsed if some parse means
+    the meaning, so novel but grammatical learner productions pass."""
     meaning = beta_reduce(meaning)
-    parses = gold.meanings(utterance)
+    parses = all_meanings(gold.grammar, utterance)
     if not parses:
         return Verdict.REJECT_UNGRAMMATICAL
     if any(alpha_equivalent(m, meaning) for m in parses):

@@ -1,14 +1,16 @@
 """Bidirectional utterance-meaning transduction over a compiled grammar.
 
-Understanding runs an incremental top-down recognizer (priority queue of
-predicted categories ordered by node index, expand/scan/sort/accept) and
-feeds every scanned sign's semantics into a second queue sorted in reverse
-index order.  The accepted expansions, replayed bottom-up, then say which
-items combine: wherever a rule concatenates the selector's or licensor's
-string with another, lambda application puts their meanings together, as
-merge and move do in the derivation engine.  Production searches the
-derivation engine for the first complete derivation realizing a logical
-form.
+The parser is an incremental top-down recognizer (priority queue of
+predicted categories ordered by node index, expand/scan/sort/accept) that
+enumerates the accepting paths depth first.  The meaning of a path comes
+from a second queue, sorted in reverse index order, that holds every
+scanned sign's semantics: the path's expansions, replayed bottom-up, say
+which items combine; wherever a rule concatenates the selector's or
+licensor's string with another, lambda application puts their meanings
+together, as merge and move do in the derivation engine.  `understand`
+composes the first path, `all_meanings` every one.  Production searches
+the derivation engine for the first complete derivation realizing a
+logical form.
 """
 
 from __future__ import annotations
@@ -16,17 +18,20 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 
-from .grammar import Lexicon, complete_derivations, fuse_tokens
+from .grammar import Lexicon, complete_derivations
 from .mcfg import (
     ROOT, CompiledGrammar, McfgCategory, McfgRule, NodeIndex,
-    assign_child_indices, compile_grammar,
+    assign_child_indices,
 )
 from .terms import (
-    EMPTY, LambdaTerm, App, NonTerminating, alpha_equivalent, beta_reduce,
-    beta_step, render_term,
+    EMPTY, LambdaTerm, App, NonTerminating, alpha_canonical, alpha_equivalent,
+    beta_reduce, beta_step, render_term,
 )
 
 log = logging.getLogger(__name__)
+
+# steps the parser may take, and reductions the semantic queue may make
+MAX_STEPS = 10_000
 
 
 class ParseRejected(Exception):
@@ -113,74 +118,78 @@ def _scan_tokens(axiom: McfgRule, input_toks, suffix_tokens):
     return tuple(toks)
 
 
-def recognize(grammar: CompiledGrammar, utterance,
-              max_steps: int = 10_000) -> RecognizeResult:
-    """Top-down recognition with chronological backtracking; the returned
-    trace is the accepting path (or the deepest failure)."""
+def _parses(grammar: CompiledGrammar, utterance, max_steps: int):
+    """Top-down search with chronological backtracking, depth first over an
+    explicit stack: axioms before expansions, each in grammar order.
+
+    Yields the steps of every accepting path in turn, and returns the
+    deepest failure: (tokens consumed, tokens expected there).  Each scan
+    or expansion taken costs one of `max_steps`, summed over the search.
+    """
     toks = tuple(utterance.split() if isinstance(utterance, str) else utterance)
     suffix_tokens = {t for r in grammar.rules if r.is_axiom
                      for t in r.entry.exponent.split() if t.startswith("-")}
-    budget = [max_steps]
-    deepest = [0, set()]
-
-    def fail(consumed, expecting):
-        if consumed > deepest[0]:
-            deepest[0], deepest[1] = consumed, set(expecting)
-        elif consumed == deepest[0]:
-            deepest[1].update(expecting)
-
-    def rec(input_toks, queue, steps):
-        if budget[0] <= 0:
-            raise ParserBudget(f"no parse within {max_steps} steps")
-        if not queue:
-            if not input_toks:
-                steps.append(Step("accept", None, input_toks, queue))
-                return steps
-            fail(len(toks) - len(input_toks), ())
-            return None
-        head = queue[0]
-        rest = queue[1:]
-        consumed = len(toks) - len(input_toks)
-        axioms = grammar.axioms(head.category)
-        expansions = grammar.expansions(head.category)
-        if not axioms and not expansions:
-            fail(consumed, ())
-            return None
-        for axiom in axioms:
-            left = _scan_tokens(axiom, input_toks, suffix_tokens)
-            if left is None:
-                fail(consumed, {axiom.entry.exponent or "ε"})
-                continue
-            budget[0] -= 1
-            n = len(steps)
-            steps.append(Step("scan", axiom, input_toks, queue))
-            got = rec(left, rest, steps)
-            if got is not None:
-                return got
-            del steps[n:]
-        for rule in expansions:
-            budget[0] -= 1
-            n = len(steps)
-            steps.append(Step("expand", rule, input_toks, queue))
-            children = assign_child_indices(rule, list(head.indices))
-            new_items = tuple(QueueItem(cat, idx)
-                              for cat, idx in zip(rule.rhs, children))
-            unsorted = new_items + rest
-            in_order = _sorted_queue(unsorted)
-            if in_order != unsorted:
-                steps.append(Step("sort", None, input_toks, unsorted))
-            got = rec(input_toks, in_order, steps)
-            if got is not None:
-                return got
-            del steps[n:]
-        return None
-
+    budget = max_steps
+    failed: dict[int, set[str]] = {}    # tokens consumed -> tokens expected
+    steps: list[Step] = []
     for start in grammar.start_categories:
-        queue = (QueueItem(start, (ROOT,)),)
-        got = rec(toks, queue, [])
-        if got is not None:
-            return RecognizeResult(True, got)
-    return RecognizeResult(False, [], deepest[0], frozenset(deepest[1]))
+        # a move not yet taken: (len(steps) before it, rule, input, queue,
+        # input after it); the first one only visits the start prediction
+        stack = [(0, None, toks, (QueueItem(start, (ROOT,)),), toks)]
+        while stack:
+            n, rule, input_toks, queue, left = stack.pop()
+            del steps[n:]
+            if rule is not None and rule.is_axiom:
+                budget -= 1
+                steps.append(Step("scan", rule, input_toks, queue))
+                queue = queue[1:]
+            elif rule is not None:
+                budget -= 1
+                steps.append(Step("expand", rule, input_toks, queue))
+                children = assign_child_indices(rule, list(queue[0].indices))
+                unsorted = tuple(QueueItem(cat, idx) for cat, idx
+                                 in zip(rule.rhs, children)) + queue[1:]
+                queue = _sorted_queue(unsorted)
+                if queue != unsorted:
+                    steps.append(Step("sort", None, input_toks, unsorted))
+            if budget <= 0:
+                raise ParserBudget(f"no parse within {max_steps} steps")
+            consumed = len(toks) - len(left)
+            if not queue:
+                if left:
+                    failed.setdefault(consumed, set())
+                else:
+                    steps.append(Step("accept", None, left, queue))
+                    yield list(steps)
+                continue
+            category = queue[0].category
+            axioms = grammar.axioms(category)
+            expansions = grammar.expansions(category)
+            if not axioms and not expansions:
+                failed.setdefault(consumed, set())
+            moves = []
+            for axiom in axioms:
+                after = _scan_tokens(axiom, left, suffix_tokens)
+                if after is None:
+                    failed.setdefault(consumed, set()).add(
+                        axiom.entry.exponent or "ε")
+                else:
+                    moves.append((len(steps), axiom, left, queue, after))
+            moves += [(len(steps), r, left, queue, left) for r in expansions]
+            stack += reversed(moves)
+    position = max(failed, default=0)
+    return position, frozenset(failed.get(position, ()))
+
+
+def recognize(grammar: CompiledGrammar, utterance,
+              max_steps: int = MAX_STEPS) -> RecognizeResult:
+    """The first accepting path of the top-down search, or the deepest
+    failure if there is none."""
+    paths = _parses(grammar, utterance, max_steps)
+    try:
+        return RecognizeResult(True, next(paths))
+    except StopIteration as end:
+        return RecognizeResult(False, [], *end.value)
 
 
 # --- semantic queue -------------------------------------------------------------
@@ -211,8 +220,17 @@ def _combine(f: SemItem, a: SemItem, result_index: NodeIndex) -> SemItem:
 
 
 def understand(grammar: CompiledGrammar, utterance,
-               max_steps: int = 10_000) -> UnderstandResult:
-    """Parse, then compose the meaning along the accepted derivation.
+               max_steps: int = MAX_STEPS) -> UnderstandResult:
+    """Parse, then compose the meaning along the accepted derivation."""
+    parse = recognize(grammar, utterance, max_steps)
+    if not parse.accepted:
+        raise ParseRejected(parse.position, parse.expected)
+    meaning, steps = _compose(parse.steps, max_steps)
+    return UnderstandResult(meaning, steps, parse)
+
+
+def _compose(path: list[Step], max_steps: int) -> tuple[LambdaTerm, list[Step]]:
+    """The meaning of an accepting path, and its semantic trace.
 
     Scans push their sign's semantics with the scanned node's index; empty
     items vanish by identity application as soon as they are pushed.  The
@@ -225,16 +243,13 @@ def understand(grammar: CompiledGrammar, utterance,
     Redexes left in a combined item, or in the final one, are contracted in
     place.
     """
-    parse = recognize(grammar, utterance, max_steps)
-    if not parse.accepted:
-        raise ParseRejected(parse.position, parse.expected)
     steps: list[Step] = []
     queue: list[SemItem] = []
     # each prediction's semantic item per component (None where empty), keyed
-    # by id(): cheaper than hashing a QueueItem, and parse.steps keeps them
+    # by id(): cheaper than hashing a QueueItem, and the path keeps them
     held: dict[int, tuple[SemItem | None, ...]] = {}
     # replay scans in accepted order; scanned items keep their syntactic index
-    pairs = list(zip(parse.steps, parse.steps[1:]))
+    pairs = list(zip(path, path[1:]))
     for st, after in pairs:
         if st.op != "scan":
             continue
@@ -289,11 +304,11 @@ def understand(grammar: CompiledGrammar, utterance,
             queue.insert(at, combined)
             comps.append(settle(at))
         held[id(st.queue[0])] = tuple(comps)
-    (root,) = held[id(parse.steps[0].queue[0])]
+    (root,) = held[id(path[0].queue[0])]
     if root is not None:
         root = settle(0)
     steps.append(Step("understand", None, (), tuple(queue)))
-    return UnderstandResult(EMPTY if root is None else root.term, steps, parse)
+    return EMPTY if root is None else root.term, steps
 
 
 # --- production -----------------------------------------------------------------
@@ -328,15 +343,16 @@ def produce(lexicon: Lexicon, meaning: LambdaTerm,
     return ProduceResult(first.sign.exponent, first, alternatives)
 
 
-def all_meanings(lexicon: Lexicon, utterance,
-                 budget: int | None = None) -> list[LambdaTerm]:
-    """Every meaning the lexicon assigns to the utterance (bounded search);
-    used by judges that must not be fooled by parse ambiguity."""
-    toks = utterance if isinstance(utterance, str) else " ".join(utterance)
-    target = " ".join(fuse_tokens(toks.split()))
-    search = complete_derivations(lexicon, budget)
-    return [t.sign.semantics for t in search.complete
-            if t.sign.exponent == target]
+def all_meanings(grammar: CompiledGrammar, utterance) -> list[LambdaTerm]:
+    """Every meaning the grammar gives the utterance, one per α-equivalence
+    class, in the order the parser accepts its paths (so the first is the
+    one `understand` gives); judges use it so that parse ambiguity cannot
+    fool them."""
+    meanings: dict[LambdaTerm, LambdaTerm] = {}
+    for path in _parses(grammar, utterance, MAX_STEPS):
+        meaning, _ = _compose(path, MAX_STEPS)
+        meanings.setdefault(alpha_canonical(meaning), meaning)
+    return list(meanings.values())
 
 
 @dataclass(frozen=True)
@@ -347,10 +363,6 @@ class UMP:
 
     def __repr__(self):
         return f"⟨{self.exponent}, {render_term(self.meaning)}⟩"
-
-
-def understand_utterance(lexicon: Lexicon, utterance) -> UnderstandResult:
-    return understand(compile_grammar(lexicon), utterance)
 
 
 # corpus files: one `utterance TAB term` per line, '#' comments

@@ -173,7 +173,7 @@ def test_criterion_5_production():
 # --- 6. learning session ------------------------------------------------------------
 
 def test_criterion_6_learning_session():
-    gold = GoldGrammar(teaching_gold(), budget=200)
+    gold = GoldGrammar(teaching_gold())
     log, learner = run_session(gold, SESSION_SCRIPT)
     teach_snaps = []
     seen_times = set()
@@ -206,7 +206,7 @@ def test_criterion_6_learning_session():
 # --- 7. teacher verdicts ------------------------------------------------------------
 
 def test_criterion_7_teacher_verdicts():
-    gold = GoldGrammar(teaching_gold(), budget=200)
+    gold = GoldGrammar(teaching_gold())
     assert judge(gold, "the rat eats cheese", p("eat(cheese)(rat)")) \
         is Verdict.ENDORSE
     assert judge(gold, "the rats eats carrot", p("eat(carrot)(rats)")) \

@@ -309,17 +309,6 @@ def test_property_smc_detection(n, rng):
         move(a)
 
 
-def test_smc_eligible_predicate():
-    from mgumt.grammar import smc_eligible
-    ok = expr(sign("x | : | +k t | P"), sign("b | : | -k | Q"))
-    bad = expr(sign("x | : | +k t | P"), sign("b | : | -k | Q"),
-               sign("c | : | -k | R"))
-    inert = expr(sign("x | : | t | P"))
-    assert smc_eligible(ok)
-    assert not smc_eligible(bad)
-    assert smc_eligible(inert)
-
-
 def test_x3_budget_ten_contains_novel_sentence():
     x3 = load_lexicon(
         "the\t::\t=n d\teps\nmouse\t::\tn\tmouse\nrat\t::\tn\trat\n"

@@ -7,7 +7,7 @@ from mgumt.grammar import (
 from mgumt.mcfg import (
     ROOT, ArityMismatch, CompiledGrammar, EmptyLexicon, McfgCategory,
     NodeIndex, assign_child_indices, compile_grammar, enumerate_strings,
-    index_compare, render_rule,
+    render_rule,
 )
 
 
@@ -101,12 +101,12 @@ def test_index_order_published_chain():
     chain = [idx("100"), idx("101"), idx("110"), idx("1110"), idx("11110")]
     assert chain == sorted(chain)
     for a, b in zip(chain, chain[1:]):
-        assert index_compare(a, b) == -1
+        assert a < b and not b < a and a != b
 
 
 def test_index_order_root_smallest():
     assert ROOT < idx("0") < idx("1")
-    assert index_compare(idx("10"), idx("10")) == 0
+    assert idx("10") == idx("10") and not idx("10") < idx("10")
 
 
 def _rule(gold, lhs_repr):

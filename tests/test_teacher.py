@@ -1,7 +1,7 @@
 import pytest
 
-from mgumt.fixtures import SESSION_SCRIPT, teaching_gold
-from mgumt.grammar import complete_derivations, save_lexicon
+from mgumt.fixtures import SESSION_SCRIPT, TABLE_ONE, teaching_gold
+from mgumt.grammar import complete_derivations, load_lexicon, save_lexicon
 from mgumt.learner import LearnerState
 from mgumt.teacher import (
     GoldGrammar, ScriptInvalid, Verdict, judge, parse_script, run_session,
@@ -14,7 +14,7 @@ p = parse_term
 
 @pytest.fixture(scope="module")
 def gold():
-    return GoldGrammar(teaching_gold(), budget=200)
+    return GoldGrammar(teaching_gold())
 
 
 def test_judge_endorses_grammatical_pair(gold):
@@ -35,6 +35,19 @@ def test_judge_rejects_meaning_mismatch(gold):
 def test_judge_is_pure(gold):
     args = ("the rats eat cheese", p("eat(cheese)(rats)"))
     assert judge(gold, *args) is judge(gold, *args) is Verdict.ENDORSE
+
+
+def test_judge_recursive_modifier_gold():
+    # old :: =n n makes the gold language infinite; judging parses the one
+    # utterance instead of enumerating the language
+    gold = GoldGrammar(load_lexicon(TABLE_ONE + "old\t::\t=n n\t\\x.old(x)\n"))
+    meaning = p("eat(cheese)(old(old(mouse)))")
+    assert judge(gold, "the old old mouse eats cheese", meaning) \
+        is Verdict.ENDORSE
+    assert judge(gold, "the old mouse old eats cheese", meaning) \
+        is Verdict.REJECT_UNGRAMMATICAL
+    assert judge(gold, "the old mouse eats cheese", meaning) \
+        is Verdict.REJECT_MEANING
 
 
 def test_teacher_self_consistency(gold):
@@ -116,7 +129,6 @@ def test_session_replay_byte_identical(gold):
 
 
 def test_gold_lexicon_type_pattern_enforced():
-    from mgumt.grammar import load_lexicon
     from mgumt.teacher import GoldLexiconInvalid
     with pytest.raises(GoldLexiconInvalid):
         GoldGrammar(load_lexicon("x\t::\tn =d\tmouse\n"))

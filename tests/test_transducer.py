@@ -6,8 +6,8 @@ from mgumt.grammar import LexiconError, complete_derivations, load_lexicon
 from mgumt.mcfg import compile_grammar, enumerate_strings
 from mgumt.terms import alpha_equivalent, parse_term, render_term
 from mgumt.transducer import (
-    ParseRejected, Unrealizable, all_meanings, produce, recognize, understand,
-    understand_utterance,
+    ParseRejected, ParserBudget, Unrealizable, all_meanings, produce,
+    recognize, understand,
 )
 
 p = parse_term
@@ -147,12 +147,13 @@ def test_understand_learned_lexicon():
     assert any(s.exponent == "the rat eats cheese"
                and alpha_equivalent(s.semantics, p("eat(cheese)(rat)"))
                for s in signs)
-    u = understand_utterance(lex, "the rat eats cheese")
+    u = understand(compile_grammar(lex), "the rat eats cheese")
     assert alpha_equivalent(u.meaning, p("eat(cheese)(rat)"))
 
 
 def test_understand_single_word_grammar():
-    u = understand_utterance(load_lexicon("mouse\t::\tc\tmouse\n"), "mouse")
+    u = understand(compile_grammar(load_lexicon("mouse\t::\tc\tmouse\n")),
+                   "mouse")
     assert render_term(u.meaning) == "mouse"
 
 
@@ -163,7 +164,7 @@ def test_understand_rejects_cleanly(gold):
 
 def test_understand_reduces_scanned_redex():
     lex = load_lexicon("mouse\t::\tc\t(\\x.x)(mouse)\n")
-    u = understand_utterance(lex, "mouse")
+    u = understand(compile_grammar(lex), "mouse")
     assert render_term(u.meaning) == "mouse"
     assert [s.op for s in u.steps] == ["scan", "apply", "understand"]
 
@@ -190,8 +191,8 @@ DERIVATION_CASES = {
 @pytest.mark.parametrize("lexicon,sentence,meaning",
                          DERIVATION_CASES.values(), ids=DERIVATION_CASES)
 def test_understand_composes_along_derivation(lexicon, sentence, meaning):
-    lex = load_lexicon(lexicon)
-    assert render_term(understand_utterance(lex, sentence).meaning) == meaning
+    grammar = compile_grammar(load_lexicon(lexicon))
+    assert render_term(understand(grammar, sentence).meaning) == meaning
 
 
 def test_move_two_rule_is_exercised():
@@ -232,11 +233,20 @@ def test_property_understand_agrees_with_all_meanings(text):
     except LexiconError:
         return      # a drawn entry repeats another
     grammar = compile_grammar(lex)
-    for exponent in {t.sign.exponent
-                     for t in complete_derivations(lex, 16).complete}:
+    search = complete_derivations(lex, 16)
+    derived = {}
+    for t in search.complete:
+        derived.setdefault(t.sign.exponent, []).append(t.sign.semantics)
+    for exponent, closure in derived.items():
+        parsed = all_meanings(grammar, exponent)
+        # the parser finds every meaning the closure derives, and no more
+        # when the closure ran to the end
+        assert all(any(alpha_equivalent(m, n) for n in parsed)
+                   for m in closure), (text, exponent)
+        if not search.budget_exhausted:
+            assert len(parsed) == len(closure), (text, exponent)
         meaning = understand(grammar, exponent).meaning
-        assert any(alpha_equivalent(meaning, m)
-                   for m in all_meanings(lex, exponent)), (text, exponent)
+        assert alpha_equivalent(meaning, parsed[0]), (text, exponent)
 
 
 # --- production -------------------------------------------------------------------
@@ -266,14 +276,38 @@ def test_produce_unrealizable():
 
 
 def test_all_meanings():
-    got = all_meanings(load_lexicon(X4), "the rats eats carrot")
+    x4 = compile_grammar(load_lexicon(X4))
+    got = all_meanings(x4, "the rats eats carrot")
     assert len(got) == 1
     assert alpha_equivalent(got[0], p("eat(carrot)(rats)"))
-    assert all_meanings(load_lexicon(X4), "rats the carrot") == []
-    homonym = load_lexicon(TABLE_ONE + "mouse\t::\tn\trodent\n")
+    assert all_meanings(x4, "rats the carrot") == []
+    homonym = compile_grammar(load_lexicon(TABLE_ONE + "mouse\t::\tn\trodent\n"))
     got = all_meanings(homonym, "the mouse eats cheese")
     assert [render_term(m) for m in got] == ["eat(cheese)(mouse)",
                                              "eat(cheese)(rodent)"]
+
+
+HOMOPHONES = compile_grammar(load_lexicon(
+    TABLE_ONE + "old\t::\t=n n\t\\x.old(x)\n"
+    + "old\t::\t=n n\t\\x.aged(x)\n"))
+
+
+def test_all_meanings_homophones():
+    # each old is either entry: four parses, four meanings
+    got = all_meanings(HOMOPHONES, "the old old mouse eats cheese")
+    assert sorted(render_term(m) for m in got) == [
+        "eat(cheese)(aged(aged(mouse)))", "eat(cheese)(aged(old(mouse)))",
+        "eat(cheese)(old(aged(mouse)))", "eat(cheese)(old(old(mouse)))"]
+
+
+def test_parser_budget_boundary():
+    # the failed search over 2^k readings of old^k fits 10,000 steps at k = 9
+    r = recognize(HOMOPHONES, "the " + "old " * 9 + "mouse cheese eats")
+    assert not r.accepted and r.position == 11
+    with pytest.raises(ParserBudget):
+        recognize(HOMOPHONES, "the " + "old " * 10 + "mouse cheese eats")
+    with pytest.raises(ParserBudget):
+        all_meanings(HOMOPHONES, "the " + "old " * 10 + "mouse cheese eats")
 
 
 # --- round trip -------------------------------------------------------------------
