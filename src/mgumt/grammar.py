@@ -13,11 +13,12 @@ fuse (eat + -s -> eats), which is how inflected surface forms arise.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass, replace as dc_replace
 
 from .terms import (
-    LambdaTerm, alpha_canonical, apply, beta_step, is_normal, parse_term,
-    render_term,
+    LambdaTerm, alpha_canonical, apply, beta_step, constants, is_normal,
+    parse_term, render_term,
 )
 
 BASE, SEL, POS, NEG = "base", "sel", "pos", "neg"
@@ -176,7 +177,7 @@ def merge(a: Expression, b: Expression) -> tuple[Expression, str]:
     """
     ha, hb = a.head, b.head
     if not ha.stype.features or ha.stype.features[0].kind != SEL:
-        raise FeatureMismatch(f"head of {a!r} does not start with a selector")
+        raise FeatureMismatch("head does not start with a selector")
     f = ha.stype.features[0].ident
     if not hb.stype.features or hb.stype.features[0] != Feature(BASE, f):
         raise FeatureMismatch(f"selected head does not start with base {f}")
@@ -207,7 +208,7 @@ def move(a: Expression) -> tuple[Expression, str]:
     """
     ha = a.head
     if not ha.stype.features or ha.stype.features[0].kind != POS:
-        raise FeatureMismatch(f"head of {a!r} does not start with a licensor")
+        raise FeatureMismatch("head does not start with a licensor")
     f = ha.stype.features[0].ident
     licensee = Feature(NEG, f)
     hits = [i for i, s in enumerate(a.signs[1:], start=1)
@@ -400,9 +401,18 @@ def is_complete(expr: Expression, start_symbol: str) -> bool:
             and is_normal(head.semantics))
 
 
+def _fits(expr: Expression, bound: Counter) -> bool:
+    """Whether the constants of all the expression's signs fit in bound."""
+    counts: Counter = Counter()
+    for sign in expr.signs:
+        counts.update(constants(sign.semantics))
+    return counts <= bound
+
+
 def complete_derivations(lex: Lexicon,
                          max_rule_applications: int | None = None,
-                         stop_when=None) -> DerivationSearch:
+                         stop_when=None, *,
+                         meaning: LambdaTerm | None = None) -> DerivationSearch:
     """Bottom-up closure of the lexicon under merge, move and λ-app.
 
     Enumerates derivation trees in order of increasing step count (budget is
@@ -410,11 +420,22 @@ def complete_derivations(lex: Lexicon,
     normal between structural steps.  Expressions are deduplicated; the first
     tree found for an expression is minimal.  `stop_when(tree)` may stop the
     enumeration early once a complete derivation satisfies it.
+
+    Given a `meaning`, the search keeps only expressions whose constants,
+    counted over all their signs, fit within the meaning's.  Merge and move
+    apply one sign's semantics to another's, and reduction never lowers a
+    count (every binder is λ-I, checked by `Abs`, and EMPTY is an identity
+    in `apply` and `beta_step`), so a dropped expression can only grow into
+    complete derivations with other meanings.  Every subderivation of a kept
+    tree is kept too, so the kept trees, their order and the complete
+    derivations with that meaning are those of the full closure.  Dropped
+    trees do not count towards `budget_exhausted`.
     """
     if max_rule_applications is None:
         max_rule_applications = max(10 * len(lex), 1)
     if max_rule_applications < 1:
         raise ValueError("budget must be at least 1")
+    bound = None if meaning is None else constants(meaning)
 
     best: dict = {}
     heap: list = []
@@ -423,6 +444,8 @@ def complete_derivations(lex: Lexicon,
 
     def push(tree):
         nonlocal seq, exhausted
+        if bound is not None and not _fits(tree.expression, bound):
+            return
         if tree.size > max_rule_applications:
             exhausted = True
             return

@@ -267,15 +267,16 @@ class LearnerState:
         """The first complete derivation of the exponent with the meaning,
         in enumeration order, or None; the search stops on it."""
         found = []
+        target = alpha_canonical(meaning)
 
         def hit(tree):
             if (tree.sign.exponent == exponent
-                    and alpha_equivalent(tree.sign.semantics, meaning)):
+                    and alpha_canonical(tree.sign.semantics) == target):
                 found.append(tree)
             return bool(found)
 
         if len(self.lexicon):
-            complete_derivations(self.lexicon, stop_when=hit)
+            complete_derivations(self.lexicon, stop_when=hit, meaning=meaning)
         return found[0] if found else None
 
     def derivable(self, ump: UMP) -> bool:

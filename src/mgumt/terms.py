@@ -9,6 +9,7 @@ fragment; reduction therefore never discards free variables.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 
@@ -135,6 +136,30 @@ def free_vars(t: LambdaTerm) -> frozenset[VariableName]:
     if isinstance(t, App):
         return free_vars(t.fun) | free_vars(t.arg)
     return frozenset()
+
+
+def constants(t: LambdaTerm) -> Counter:
+    """The free names of t as a multiset: each name's text with its number
+    of free occurrences.
+
+    Reduction never lowers a count: a λ-I binder occurs in its body, so
+    contracting (\\x.b)(a) keeps at least one copy of a, and EMPTY applied
+    to a term, or a term applied to EMPTY, contracts to that term.  Hence
+    constants(beta_reduce(f(a))) >= constants(f) + constants(a).
+    """
+    counts: Counter = Counter()
+    stack = [(t, frozenset())]
+    while stack:
+        t, bound = stack.pop()
+        if isinstance(t, Var):
+            if t.name.text not in bound:
+                counts[t.name.text] += 1
+        elif isinstance(t, Abs):
+            stack.append((t.body, bound | {t.binder.text}))
+        elif isinstance(t, App):
+            stack.append((t.fun, bound))
+            stack.append((t.arg, bound))
+    return counts
 
 
 def all_names(t: LambdaTerm) -> frozenset[VariableName]:

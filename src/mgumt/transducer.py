@@ -10,7 +10,8 @@ licensor's string with another, lambda application puts their meanings
 together, as merge and move do in the derivation engine.  `understand`
 composes the first path, `all_meanings` every one.  Production searches
 the derivation engine for the first complete derivation realizing a
-logical form.
+logical form, building only expressions whose constants fit within the
+logical form's (generation directed by the logical form).
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from .mcfg import (
     assign_child_indices,
 )
 from .terms import (
-    EMPTY, LambdaTerm, App, NonTerminating, alpha_canonical, alpha_equivalent,
-    beta_reduce, beta_step, render_term,
+    EMPTY, LambdaTerm, App, NonTerminating, alpha_canonical, beta_reduce,
+    beta_step, render_term,
 )
 
 log = logging.getLogger(__name__)
@@ -324,11 +325,18 @@ def produce(lexicon: Lexicon, meaning: LambdaTerm,
             budget: int | None = None) -> ProduceResult:
     """First complete derivation (in canonical enumeration order) whose
     final semantics matches the meaning; further distinct exponents are
-    reported as alternatives, not errors."""
+    reported as alternatives, not errors.
+
+    The search is bounded by the β-normal meaning's constants, which
+    changes nothing it finds (see `complete_derivations`) but leaves out
+    everything that cannot end in the meaning.  So `Unrealizable` says
+    "(budget exhausted)" only when a derivation within the bound went over
+    the budget; without it, no derivation of the meaning exists."""
     meaning = beta_reduce(meaning)
-    search = complete_derivations(lexicon, budget)
+    search = complete_derivations(lexicon, budget, meaning=meaning)
+    target = alpha_canonical(meaning)
     matches = [t for t in search.complete
-               if alpha_equivalent(t.sign.semantics, meaning)]
+               if alpha_canonical(t.sign.semantics) == target]
     if not matches:
         extra = " (budget exhausted)" if search.budget_exhausted else ""
         raise Unrealizable(

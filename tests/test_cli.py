@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from mgumt.cli import main
@@ -55,6 +60,37 @@ def test_produce(gold_path, capsys):
 def test_produce_unrealizable(gold_path, capsys):
     assert main(["produce", "--lexicon", gold_path,
                  "--meaning", "sleep(mouse)"]) == 1
+
+
+RECURSIVE_OLD = TABLE_ONE + "old\t::\t=n n\t\\x.old(x)\n"
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def produce_in_subprocess(lexicon: str, meaning: str):
+    """`mgumt produce` at the default budget, in its own process so that a
+    search that does not end fails the test instead of hanging it."""
+    env = {k: val for k, val in os.environ.items() if k != "UMT_BUDGET"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "mgumt.cli", "produce", "--lexicon", lexicon,
+         "--meaning", meaning],
+        capture_output=True, text=True, timeout=10, env=env)
+
+
+def test_produce_recursive_modifier(tmp_path):
+    # the search only builds what fits within the meaning's constants, so
+    # a recursive `old` no longer keeps it going until the budget runs out
+    path = tmp_path / "lex.mg"
+    path.write_text(RECURSIVE_OLD, encoding="utf-8")
+    done = produce_in_subprocess(str(path), "eat(cheese)(old(mouse))")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "the old mouse eats cheese"
+    done = produce_in_subprocess(str(path), "eat(old(old(cheese)))(old(mouse))")
+    assert done.returncode == 1, done.stderr
+    (line,) = done.stdout.strip().splitlines()
+    assert line.startswith("unrealizable\t")
+    assert "(budget exhausted)" not in line
 
 
 def test_compile_rule_count(gold_path, capsys):

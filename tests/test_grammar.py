@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mgumt.fixtures import table_one
+import mgumt.grammar as grammar_module
+from mgumt.fixtures import table_one, teaching_gold
 from mgumt.grammar import (
     DerivationTree, Expression, Feature, FeatureMismatch, Lexicon,
     LexiconError, NoRedex, Sign, SmcViolation, SyntacticType,
@@ -12,6 +13,7 @@ from mgumt.grammar import (
     parse_lexicon_line, reduce_step, render_features, replay, save_lexicon,
 )
 from mgumt.terms import EMPTY, alpha_equivalent, parse_term, render_term
+from mgumt.transducer import produce
 
 p = parse_term
 
@@ -235,6 +237,18 @@ def test_budget_exhaustion_reported():
     lonely = complete_derivations(
         load_lexicon("a\t::\t=x c\tf\nb\t::\tx -q\tb\nq\t::\t=c +q c\teps\n"), 2)
     assert lonely.budget_exhausted
+
+
+def test_closure_never_renders(monkeypatch):
+    # a merge or move that does not apply costs no rendering of its premises
+    def refuse(*args, **kwargs):
+        raise AssertionError("the derivation search rendered a term")
+
+    monkeypatch.setattr(grammar_module, "render_sign", refuse)
+    monkeypatch.setattr(grammar_module, "render_term", refuse)
+    assert complete_derivations(teaching_gold()).complete
+    result = produce(table_one(), p("eat(cheese)(mouse)"))
+    assert result.utterance == "the mouse eats cheese"
 
 
 # --- randomized structure properties -------------------------------------------

@@ -1,11 +1,13 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mgumt.terms import (
     EMPTY, Abs, App, NonTerminating, SubtermNotFound, TermSyntaxError, Var,
     VariableClash, abstract, all_names, alpha_canonical, alpha_equivalent,
-    apply, beta_reduce, beta_step, contains, free_vars, is_normal, parse_term,
-    render_term, subterms, substitute, v, var_name,
+    apply, beta_reduce, beta_step, constants, contains, free_vars, is_normal,
+    parse_term, render_term, subterms, substitute, v, var_name,
 )
 
 p = parse_term
@@ -26,6 +28,17 @@ def test_free_vars_all_bound():
 
 def test_free_vars_empty():
     assert free_vars(EMPTY) == frozenset()
+
+
+def test_constants_count_free_occurrences():
+    assert constants(p("(\\x.eat(x)(x))(mouse)")) == Counter(
+        {"eat": 1, "mouse": 1})
+    assert constants(p("eat(cheese)(cheese)")) == Counter(
+        {"eat": 1, "cheese": 2})
+    # an occurrence under a binder of the same name is bound
+    assert constants(p("eat(\\eat.eat(cheese))")) == Counter(
+        {"eat": 1, "cheese": 1})
+    assert constants(EMPTY) == Counter()
 
 
 def test_substitute_direct():
@@ -251,6 +264,17 @@ def test_property_reduction_idempotent(t):
     if nf is None:
         return
     assert alpha_equivalent(beta_reduce(nf), nf)
+
+
+@settings(max_examples=250, deadline=None)
+@given(lambda_terms(), lambda_terms())
+def test_property_reduction_keeps_constants(f, a):
+    # the lemma the meaning-bounded derivation search rests on
+    nf = _reduce_or_skip(App(f, a))
+    if nf is not None:
+        assert constants(nf) >= constants(f) + constants(a)
+    assert constants(apply(EMPTY, a)) == constants(a)
+    assert constants(apply(a, EMPTY)) == constants(a)
 
 
 @settings(max_examples=250, deadline=None)

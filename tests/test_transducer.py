@@ -4,7 +4,10 @@ from hypothesis import given, settings, strategies as st
 from mgumt.fixtures import TABLE_ONE, table_one, teaching_gold
 from mgumt.grammar import LexiconError, complete_derivations, load_lexicon
 from mgumt.mcfg import compile_grammar, enumerate_strings
-from mgumt.terms import alpha_equivalent, parse_term, render_term
+from mgumt.terms import (
+    EMPTY, App, alpha_canonical, alpha_equivalent, constants, parse_term,
+    render_term, v,
+)
 from mgumt.transducer import (
     ParseRejected, ParserBudget, Unrealizable, all_meanings, produce,
     recognize, understand,
@@ -247,6 +250,76 @@ def test_property_understand_agrees_with_all_meanings(text):
             assert len(parsed) == len(closure), (text, exponent)
         meaning = understand(grammar, exponent).meaning
         assert alpha_equivalent(meaning, parsed[0]), (text, exponent)
+
+
+# --- meaning-bounded search against the full closure -----------------------------
+
+def derivation_record(tree):
+    return (tree.sign.exponent,
+            [(node.rule, repr(node.expression)) for node in tree.steps()])
+
+
+def assert_bounded_search_agrees(lex, budget):
+    """For every meaning the closure derives, the search bounded by it finds
+    the same derivations of it, in the same order; for meanings it does not
+    derive, the bounded search finds none."""
+    full = complete_derivations(lex, budget)
+    meanings = {}
+    for t in full.complete:
+        meanings.setdefault(alpha_canonical(t.sign.semantics), t.sign.semantics)
+    for key, meaning in meanings.items():
+        bounded = complete_derivations(lex, budget, meaning=meaning)
+        assert ([derivation_record(t) for t in bounded.complete
+                 if alpha_canonical(t.sign.semantics) == key]
+                == [derivation_record(t) for t in full.complete
+                    if alpha_canonical(t.sign.semantics) == key])
+    names = set()
+    for entry in lex.entries:
+        names.update(constants(entry.semantics))
+    absent = ([EMPTY] + [App(m, m) for m in meanings.values()]
+              + [v(name) for name in sorted(names)])
+    for meaning in absent:
+        key = alpha_canonical(meaning)
+        if key in meanings:
+            continue
+        bounded = complete_derivations(lex, budget, meaning=meaning)
+        assert all(alpha_canonical(t.sign.semantics) != key
+                   for t in bounded.complete)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tiered_lexicons())
+def test_property_bounded_search_equals_filtered_search(text):
+    try:
+        lex = load_lexicon(text)
+    except LexiconError:
+        return      # a drawn entry repeats another
+    assert_bounded_search_agrees(lex, 16)
+
+
+RECURSIVE_OLD = TABLE_ONE + "old\t::\t=n n\t\\x.old(x)\n"
+
+
+def test_bounded_search_recursive_modifier():
+    assert_bounded_search_agrees(load_lexicon(RECURSIVE_OLD), 16)
+
+
+def test_pruned_trees_do_not_exhaust_the_budget():
+    # the meaning has no `old`, so no `old` tree is built and none can go
+    # over the budget: the bounded search runs to the end, and its failure
+    # means that no derivation exists
+    lex = load_lexicon(RECURSIVE_OLD)
+    assert complete_derivations(lex, 16).budget_exhausted
+    meaning = p("eat(mouse)(cheese)")
+    assert not complete_derivations(lex, 16, meaning=meaning).budget_exhausted
+    with pytest.raises(Unrealizable) as caught:
+        produce(lex, meaning, 16)
+    assert "budget exhausted" not in str(caught.value)
+    # a merge whose result outgrows both the budget and the meaning is
+    # dropped for the meaning, though both its premises fit
+    lex = load_lexicon("a\t::\t=x c\t\\y.g(b)(y)\nb\t::\tx\tb\n")
+    assert complete_derivations(lex, 1).budget_exhausted
+    assert not complete_derivations(lex, 1, meaning=p("g(b)")).budget_exhausted
 
 
 # --- production -------------------------------------------------------------------
