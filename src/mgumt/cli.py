@@ -181,7 +181,7 @@ def cmd_repl(args) -> int:
                 print(f"wrote {rest.strip()}")
             else:
                 print(f"unknown command {op!r}")
-        except FORMAT_ERRORS as exc:
+        except FORMAT_ERRORS + LIMIT_ERRORS as exc:
             print(f"error: {exc}")
     return 0
 

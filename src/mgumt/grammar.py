@@ -410,16 +410,17 @@ def _fits(expr: Expression, bound: Counter) -> bool:
 
 
 def complete_derivations(lex: Lexicon,
-                         max_rule_applications: int | None = None,
-                         stop_when=None, *,
+                         max_rule_applications: int | None = None, *,
                          meaning: LambdaTerm | None = None) -> DerivationSearch:
     """Bottom-up closure of the lexicon under merge, move and λ-app.
 
     Enumerates derivation trees in order of increasing step count (budget is
     the per-derivation step bound, λ-app steps included), head semantics kept
     normal between structural steps.  Expressions are deduplicated; the first
-    tree found for an expression is minimal.  `stop_when(tree)` may stop the
-    enumeration early once a complete derivation satisfies it.
+    tree found for an expression is minimal.  `complete` keeps the first
+    complete tree per (exponent, α-canonical meaning), in the order popped.
+    `produce`, `mgumt derive` and the learner's slot analogy use it; whether
+    an utterance has a meaning is the parser's question (`all_meanings`).
 
     Given a `meaning`, the search keeps only expressions whose constants,
     counted over all their signs, fit within the meaning's.  Merge and move
@@ -484,8 +485,6 @@ def complete_derivations(lex: Lexicon,
             if k not in complete_keys:
                 complete_keys.add(k)
                 complete.append(tree)
-                if stop_when is not None and stop_when(tree):
-                    return DerivationSearch(trees, complete, exhausted)
         processed.append(tree)
         for other in processed:
             consider(tree, other)

@@ -9,7 +9,8 @@ becomes a template whose semantics is obtained by lambda abstraction, and
 unknown tokens analogous to known entries (shared character prefix, or the
 position carrying the semantic residue) receive copied entries.  Every
 revision must keep all previously endorsed pairs derivable, otherwise it is
-rolled back.
+rolled back; as with the teacher, a pair derives when the parser gives the
+utterance that meaning, with each lexicon compiled to an MCFG once.
 
 Punishment triggers lexicon repair: the morpheme split extracts a suffix
 paradigm (rat/rats) into a movement-licensed number layer, and suppletion
@@ -24,14 +25,15 @@ from dataclasses import dataclass, field
 
 from .grammar import (
     BASE, NEG, POS, SEL, Feature, Lexicon, Sign, SyntacticType,
-    complete_derivations, sign_key,
+    complete_derivations, load_lexicon, save_lexicon, sign_key,
 )
+from .mcfg import CompiledGrammar, compile_grammar
 from .terms import (
     EMPTY, Abs, App, LambdaTerm, SubtermNotFound, Var, VariableClash,
-    VariableName, abstract, alpha_canonical, alpha_equivalent, beta_reduce,
-    free_vars, render_term, subterms, var_name,
+    VariableName, abstract, all_names, alpha_canonical, alpha_equivalent,
+    beta_reduce, free_vars, render_term, substitute, subterms, var_name,
 )
-from .transducer import UMP, ProduceResult, produce
+from .transducer import UMP, ProduceResult, all_meanings, produce
 
 MIN_STEM_CHARS = 3      # character-phase alignment threshold
 
@@ -137,7 +139,6 @@ def semantic_diff(a: LambdaTerm, b: LambdaTerm):
                 diffs[before:] = [(x, y)]
             return
         if isinstance(x, Abs) and isinstance(y, Abs):
-            from .terms import substitute
             body = substitute(y.body, y.binder, Var(x.binder)) \
                 if y.binder != x.binder else y.body
             walk(x.body, body, depth + 1)
@@ -219,6 +220,8 @@ class LearnerState:
     paradigms: list[ParadigmRecord] = field(default_factory=list)
     revisions: list[str] = field(default_factory=list)
     blacklist: set = field(default_factory=set)
+    # the grammar `says` compiled last, reused while `lexicon` is that object
+    compiled: CompiledGrammar | None = field(default=None, repr=False, compare=False)
 
     def clone(self) -> "LearnerState":
         twin = LearnerState(
@@ -241,7 +244,6 @@ class LearnerState:
     def fresh_var(self, *terms) -> VariableName:
         taken = set()
         for t in terms:
-            from .terms import all_names
             taken |= all_names(t)
         while True:
             self.fresh_var_counter += 1
@@ -263,25 +265,19 @@ class LearnerState:
             return Abs(term.binder, self.map_meaning(term.body))
         return term
 
-    def derivation(self, exponent: str, meaning: LambdaTerm):
-        """The first complete derivation of the exponent with the meaning,
-        in enumeration order, or None; the search stops on it."""
-        found = []
+    def says(self, utterance: str, meaning: LambdaTerm) -> bool:
+        """Whether some parse of the utterance by the learner's grammar
+        means the meaning; a ParserBudget propagates."""
+        if not len(self.lexicon):
+            return False
+        if self.compiled is None or self.compiled.lexicon is not self.lexicon:
+            self.compiled = compile_grammar(self.lexicon)
         target = alpha_canonical(meaning)
-
-        def hit(tree):
-            if (tree.sign.exponent == exponent
-                    and alpha_canonical(tree.sign.semantics) == target):
-                found.append(tree)
-            return bool(found)
-
-        if len(self.lexicon):
-            complete_derivations(self.lexicon, stop_when=hit, meaning=meaning)
-        return found[0] if found else None
+        return any(alpha_canonical(m) == target
+                   for m in all_meanings(self.compiled, utterance))
 
     def derivable(self, ump: UMP) -> bool:
-        return self.derivation(ump.exponent,
-                               self.map_meaning(ump.meaning)) is not None
+        return self.says(ump.exponent, self.map_meaning(ump.meaning))
 
     def covers_endorsed(self) -> bool:
         return all(self.derivable(u) for u in self.endorsed)
@@ -302,6 +298,7 @@ def _apply_gate(state: LearnerState, staged: LearnerState, alignment,
             state.blacklist.add(alignment.key())
         return False
     state.lexicon = staged.lexicon
+    state.compiled = staged.compiled
     state.fresh_type_counter = staged.fresh_type_counter
     state.fresh_var_counter = staged.fresh_var_counter
     state.merged_constants = staged.merged_constants
@@ -557,7 +554,12 @@ def _stage_slot(state: LearnerState, al: Alignment):
         return None
     sem_new, _ = al.semantic_residues
     want = " ".join(rb)
-    tree = state.derivation(old.exponent, state.map_meaning(old.meaning))
+    mapped = state.map_meaning(old.meaning)
+    target = alpha_canonical(mapped)
+    tree = next((t for t in complete_derivations(state.lexicon,
+                                                 meaning=mapped).complete
+                 if t.sign.exponent == old.exponent
+                 and alpha_canonical(t.sign.semantics) == target), None)
     if tree is None:
         return None
     slot_feats = None
@@ -688,14 +690,12 @@ def express(state: LearnerState, meaning: LambdaTerm) -> ProduceResult:
 
 def save_checkpoint(state: LearnerState) -> str:
     """Lexicon file with a header carrying the iteration and counters."""
-    from .grammar import save_lexicon
     head = (f"# t={state.time} types={state.fresh_type_counter} "
             f"vars={state.fresh_var_counter}\n")
     return head + save_lexicon(state.lexicon)
 
 
 def load_checkpoint(text: str) -> LearnerState:
-    from .grammar import load_lexicon
     state = LearnerState()
     for raw in text.splitlines():
         if raw.startswith("# t="):
@@ -851,7 +851,7 @@ def repair(state: LearnerState, punished: tuple[str, LambdaTerm]) -> LearnerStat
         note = _stage_morpheme_split(staged, stem, plural)
         if not staged.covers_endorsed():
             continue
-        if staged.derivation(utterance, meaning) is not None \
+        if staged.says(utterance, meaning) \
                 and not _overgeneralization_waived(staged, utterance):
             continue
         _apply_gate(state, staged, None, "repair R1: " + note)

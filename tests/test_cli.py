@@ -66,15 +66,14 @@ RECURSIVE_OLD = TABLE_ONE + "old\t::\t=n n\t\\x.old(x)\n"
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def produce_in_subprocess(lexicon: str, meaning: str):
-    """`mgumt produce` at the default budget, in its own process so that a
-    search that does not end fails the test instead of hanging it."""
+def mgumt_in_subprocess(*args: str, stdin: str | None = None):
+    """`mgumt` at the default budget, in its own process so that a search
+    that does not end fails the test instead of hanging it."""
     env = {k: val for k, val in os.environ.items() if k != "UMT_BUDGET"}
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "mgumt.cli", "produce", "--lexicon", lexicon,
-         "--meaning", meaning],
+        [sys.executable, "-m", "mgumt.cli", *args], input=stdin,
         capture_output=True, text=True, timeout=10, env=env)
 
 
@@ -83,10 +82,12 @@ def test_produce_recursive_modifier(tmp_path):
     # a recursive `old` no longer keeps it going until the budget runs out
     path = tmp_path / "lex.mg"
     path.write_text(RECURSIVE_OLD, encoding="utf-8")
-    done = produce_in_subprocess(str(path), "eat(cheese)(old(mouse))")
+    done = mgumt_in_subprocess("produce", "--lexicon", str(path),
+                               "--meaning", "eat(cheese)(old(mouse))")
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "the old mouse eats cheese"
-    done = produce_in_subprocess(str(path), "eat(old(old(cheese)))(old(mouse))")
+    done = mgumt_in_subprocess("produce", "--lexicon", str(path), "--meaning",
+                               "eat(old(old(cheese)))(old(mouse))")
     assert done.returncode == 1, done.stderr
     (line,) = done.stdout.strip().splitlines()
     assert line.startswith("unrealizable\t")
@@ -207,3 +208,19 @@ def test_repl_session(teach_paths, monkeypatch, capsys, tmp_path):
     assert "the rat eats cheese" in out
     assert "teacher: endorse" in out
     assert len(load_lexicon(lexfile.read_text(encoding="utf-8"))) == 4
+
+
+def test_repl_survives_parser_budget(tmp_path):
+    # the teacher's parse of old^10 runs out of steps: the repl reports it
+    # and goes on with the next command
+    path = tmp_path / "gold.mg"
+    path.write_text(HOMOPHONES, encoding="utf-8")
+    meaning = "eat(cheese)(" + "old(" * 10 + "mouse" + ")" * 11
+    commands = ["teach the " + "old " * 10 + f"mouse cheese eats | {meaning}",
+                f"ask {meaning}", "lexicon"]
+    done = mgumt_in_subprocess("repl", "--gold", str(path),
+                               stdin="\n".join(commands) + "\n")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    error = next(i for i, line in enumerate(lines) if line.startswith("error: "))
+    assert lines[error + 1].endswith(f"mouse cheese eats\t:\tc\t{meaning}")

@@ -3,13 +3,16 @@ import random
 import pytest
 from iso import X1_TABLE, X21_TABLE, X3_TABLE, X41_TABLE, X4_TABLE, assert_isomorphic
 
+from mgumt.fixtures import SESSION_SCRIPT, TABLE_ONE, teaching_gold
 from mgumt.grammar import complete_derivations, load_lexicon, save_lexicon
 from mgumt.learner import (
     FactoringRegression, LearnerState, NoRepairFound, align, express, factor,
     ingest, repair,
 )
+from mgumt.mcfg import compile_grammar
+from mgumt.teacher import GoldGrammar, run_session
 from mgumt.terms import alpha_equivalent, parse_term, render_term
-from mgumt.transducer import UMP, Unrealizable
+from mgumt.transducer import UMP, ParserBudget, Unrealizable
 
 p = parse_term
 
@@ -259,3 +262,65 @@ def test_single_factoring_step_yields_intermediate_stage():
         "the mouse\t:\td\tmouse\n"
         "the rat\t:\td\trat\n"
         "eats cheese\t:\t=d c\t\\y.eat(cheese)(y)\n"))
+
+
+# --- the fixture session, end to end ---------------------------------------------
+
+SESSION_REVISIONS = [
+    "stored whole pair ⟨the mouse eats cheese, eat(cheese)(mouse)⟩",
+    "factored 'the rat eats cheese' / 'the mouse eats cheese' into "
+    "['the rat', 'the mouse', 'eats cheese']",
+    "factored 'the rat' / 'the mouse' into ['rat', 'mouse', 'the']",
+    "segmented entry 'eats cheese' against 'the mouse eats carrot': "
+    "['cheese', 'carrot', 'eats']",
+    "analogy from 'the mouse eats cheese': added ['rats', 'eat']",
+    "repair R1: morpheme split 'rat'/'rats': suffix -s, layer t5, "
+    "licensee a4, rerouted ['the']",
+    "blocked regular affixation of 'mouse' (irregular 'mice')",
+    "slot entry 'mice' / mice from 'the rats eat cheese'",
+]
+
+SESSION_FINAL_LEXICON = """\
+cheese\t::\tt3\tcheese
+carrot\t::\tt3\tcarrot
+eats\t::\t=t3 =t1 c\t\\w3.\\w1.eat(w3)(w1)
+eat\t::\t=t3 =t1 c\t\\w3.\\w1.eat(w3)(w1)
+rat\t::\tt2 -a4\trat
+eps\t::\t=t2 +a4 t5\teps
+-s\t::\t=t2 +a4 t5\teps
+the\t::\t=t5 t1\teps
+mice\t:\tt5\tmice
+mouse\t::\tt2 -a6\tmouse
+eps\t::\t=t2 +a6 t5\teps
+"""
+
+
+def test_fixture_session_outcome():
+    _, learner = run_session(GoldGrammar(teaching_gold()), SESSION_SCRIPT)
+    assert learner.revisions == SESSION_REVISIONS
+    assert sorted(map(repr, learner.blacklist)) == []
+    assert save_lexicon(learner.lexicon) == SESSION_FINAL_LEXICON
+
+
+def test_fixture_session_compiles_each_lexicon_once(monkeypatch):
+    compiled = []
+
+    def counting(lex):
+        compiled.append(lex)
+        return compile_grammar(lex)
+
+    monkeypatch.setattr("mgumt.learner.compile_grammar", counting)
+    run_session(GoldGrammar(teaching_gold()), SESSION_SCRIPT)
+    assert compiled
+    assert len({save_lexicon(lex) for lex in compiled}) == len(compiled)
+
+
+def test_parser_budget_is_not_underivable():
+    # 2^10 readings of old^10 exhaust the parser: that is no answer, so it
+    # must not read as "this pair does not derive"
+    s = LearnerState(lexicon=load_lexicon(
+        TABLE_ONE + "old\t::\t=n n\t\\x.old(x)\n"
+        + "old\t::\t=n n\t\\x.aged(x)\n"))
+    meaning = p("eat(cheese)(" + "old(" * 10 + "mouse" + ")" * 11)
+    with pytest.raises(ParserBudget):
+        s.derivable(UMP("the " + "old " * 10 + "mouse cheese eats", meaning))

@@ -3,13 +3,14 @@ from hypothesis import given, settings, strategies as st
 
 from mgumt.fixtures import TABLE_ONE, table_one, teaching_gold
 from mgumt.grammar import LexiconError, complete_derivations, load_lexicon
+from mgumt.learner import LearnerState
 from mgumt.mcfg import compile_grammar, enumerate_strings
 from mgumt.terms import (
     EMPTY, App, alpha_canonical, alpha_equivalent, constants, parse_term,
     render_term, v,
 )
 from mgumt.transducer import (
-    ParseRejected, ParserBudget, Unrealizable, all_meanings, produce,
+    UMP, ParseRejected, ParserBudget, Unrealizable, all_meanings, produce,
     recognize, understand,
 )
 
@@ -250,6 +251,31 @@ def test_property_understand_agrees_with_all_meanings(text):
             assert len(parsed) == len(closure), (text, exponent)
         meaning = understand(grammar, exponent).meaning
         assert alpha_equivalent(meaning, parsed[0]), (text, exponent)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tiered_lexicons())
+def test_property_learner_says_what_the_closure_derives(text):
+    try:
+        lex = load_lexicon(text)
+    except LexiconError:
+        return      # a drawn entry repeats another
+    search = complete_derivations(lex, 16)
+    if search.budget_exhausted:
+        return
+    derived = {}
+    for t in search.complete:
+        derived.setdefault(t.sign.exponent, {})[
+            alpha_canonical(t.sign.semantics)] = t.sign.semantics
+    learner = LearnerState(lexicon=lex)
+    every = {k: m for meanings in derived.values() for k, m in meanings.items()}
+    for exponent, meanings in derived.items():
+        for meaning in meanings.values():
+            assert learner.derivable(UMP(exponent, meaning)), (text, exponent)
+        for meaning in [App(m, m) for m in meanings.values()] + list(every.values()):
+            if alpha_canonical(meaning) not in meanings:
+                assert not learner.derivable(UMP(exponent, meaning)), (
+                    text, exponent)
 
 
 # --- meaning-bounded search against the full closure -----------------------------
