@@ -21,10 +21,12 @@ from .grammar import (
 from .learner import LearnerState, NoRepairFound, express, ingest, repair
 from .mcfg import EmptyLexicon, compile_grammar, rule_dump
 from .teacher import GoldGrammar, ScriptInvalid, judge, parse_script, run_session
-from .terms import NonTerminating, TermSyntaxError, parse_term, render_term
+from .terms import (
+    NonTerminating, TermSyntaxError, alpha_equivalent, parse_term, render_term,
+)
 from .transducer import (
-    UMP, ParseRejected, ParserBudget, Unrealizable, produce, recognize,
-    understand,
+    UMP, ParseRejected, ParserBudget, Unrealizable, all_meanings, produce,
+    recognize, understand,
 )
 
 FORMAT_ERRORS = (LexiconError, TermSyntaxError, ScriptInvalid, EmptyLexicon,
@@ -98,11 +100,21 @@ def _print_derivation(tree):
 
 
 def cmd_derive(args) -> int:
+    """Complete derivations within the budget.  With a target, one search
+    per meaning the parser gives it, each bounded by that meaning's
+    constants: the unbounded closure need not end on a recursive lexicon."""
     lex = _lexicon(args.lexicon)
-    search = complete_derivations(lex, _budget(args))
-    trees = search.complete
-    if args.target:
-        trees = [t for t in trees if t.sign.exponent == args.target]
+    if args.target is None:
+        searches = [complete_derivations(lex, _budget(args))]
+        trees = searches[0].complete
+    else:
+        meanings = all_meanings(compile_grammar(lex), args.target)
+        searches = [complete_derivations(lex, _budget(args), meaning=m)
+                    for m in meanings]
+        trees = [t for m, search in zip(meanings, searches)
+                 for t in search.complete
+                 if t.sign.exponent == args.target
+                 and alpha_equivalent(t.sign.semantics, m)]
     if not trees:
         print("no complete derivation found")
         return 1
@@ -110,7 +122,7 @@ def cmd_derive(args) -> int:
         print(f"# {render_sign(tree.sign)}")
         _print_derivation(tree)
         print()
-    if search.budget_exhausted:
+    if any(search.budget_exhausted for search in searches):
         print("# note: derivation budget exhausted, results may be partial")
     return 0
 

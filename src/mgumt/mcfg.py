@@ -2,12 +2,20 @@
 grammar, and the node-index algebra that sequences top-down predictions.
 
 Categories are tuples of feature suffixes (head first, then chains, which
-always start with a licensee).  Rules are generated top-down from the start
-category by inverting merge-1/2/3 and move-1/2 against the lexicon's feature
-inventory; the category space is finite because every component must be a
-suffix of some entry's feature list.  Unproductive and unreachable rules are
-pruned, which reproduces the published 16-rule grammar for the expert
-lexicon.
+always start with a licensee).  Rules come from closing the entries'
+categories bottom-up under the engine's own merge and move, applied to
+skeleton expressions whose exponents name the premises' components; so a
+rule's string yield is the one the engine computes (Michaelis 2001).
+
+A result is dropped when one of its chains does not start with a licensee,
+or two start with the same one.  Merge keeps every chain of its premises,
+and move touches only the one chain that starts with its licensor's
+licensee, so such an item can never shed its chains and reach the
+one-component start category: dropping it loses no rule of a derivation.
+It also bounds the category space (every component is a suffix of an
+entry's feature list, one chain per licensee), so the closure ends.  Rules
+unreachable from the start category are pruned, which reproduces the
+published 16-rule grammar for the expert lexicon.
 """
 
 from __future__ import annotations
@@ -16,11 +24,12 @@ from dataclasses import dataclass
 from functools import total_ordering
 
 from .grammar import (
-    BASE, NEG, POS, SEL, Feature, Lexicon, Sign, render_features,
+    BASE, NEG, POS, SEL, Expression, Feature, FeatureMismatch, Lexicon, Sign,
+    SyntacticType, fuse_tokens, merge, move, render_features,
 )
+from .terms import EMPTY
 
-MERGE1, MERGE2, MERGE3, MOVE1, MOVE2, AXIOM = (
-    "merge-1", "merge-2", "merge-3", "move-1", "move-2", "axiom")
+AXIOM = "axiom"
 
 
 class EmptyLexicon(Exception):
@@ -176,19 +185,6 @@ def assign_child_indices(rule: McfgRule, parent_indices) -> list[tuple[NodeIndex
 
 # --- compilation ----------------------------------------------------------------
 
-def _suffixes(lex: Lexicon) -> set[Feats]:
-    out = set()
-    for e in lex.entries:
-        feats = e.stype.features
-        for i in range(len(feats)):
-            out.add(feats[i:])
-    return out
-
-
-def _passthrough(n: int, rhs_index: int, start_comp: int) -> list[tuple[Slot, ...]]:
-    return [((rhs_index, start_comp + i),) for i in range(n)]
-
-
 @dataclass
 class CompiledGrammar:
     lexicon: Lexicon
@@ -207,182 +203,88 @@ class CompiledGrammar:
         return [r for r in self.by_lhs.get(cat, ()) if r.is_axiom]
 
 
+def _skeleton(cat: McfgCategory, r: int) -> Expression:
+    """Premise r of a rule: one sign per component, whose exponent names the
+    component's slot ("r.c") so that merge and move report the rule's
+    pattern in the exponents of their result.  A placeholder never starts
+    with "-", so concatenation never fuses two of them."""
+    return Expression(tuple(
+        Sign(f"{r}.{c}", SyntacticType(cat.lexical, feats), EMPTY)
+        for c, feats in enumerate(cat.components)))
+
+
+def _slot(token: str) -> Slot:
+    r, _, c = token.partition(".")
+    return int(r), int(c)
+
+
 def compile_grammar(lex: Lexicon) -> CompiledGrammar:
-    """Fixed-point closure from the start category; see module docstring."""
+    """Close the entries' categories under merge and move, bottom-up, then
+    keep the rules reachable from the start category; see module
+    docstring."""
     if not len(lex):
         raise EmptyLexicon("cannot compile an empty lexicon")
-    suffixes = _suffixes(lex)
-    lex_full: dict[Feats, list[Sign]] = {}
-    der_full: dict[Feats, list[Sign]] = {}
-    for e in lex.entries:
-        (lex_full if e.stype.lexical else der_full).setdefault(
-            e.stype.features, []).append(e)
+    rules: list[McfgRule] = []
+    agenda: list[McfgCategory] = []
+    for entry in lex.entries:
+        k = McfgCategory(entry.stype.lexical, (entry.stype.features,))
+        rules.append(McfgRule(k, (), (), AXIOM, entry))
+        agenda.append(k)
 
-    def cat(lexical: bool, components) -> McfgCategory | None:
-        components = tuple(tuple(c) for c in components)
-        for comp in components:
-            if comp not in suffixes:
-                return None
-        if lexical and (len(components) > 1 or components[0] not in lex_full):
-            return None
-        for chain in components[1:]:
-            if chain[0].kind != NEG:
-                return None
-        return McfgCategory(lexical, components)
+    def derive(op, rhs):
+        try:
+            expr, tag = op(*(_skeleton(c, r) for r, c in enumerate(rhs)))
+        except FeatureMismatch:     # move without a matching chain
+            return
+        comps = tuple(s.stype.features for s in expr.signs)
+        licensees = [chain[0] for chain in comps[1:]]
+        if (any(f.kind != NEG for f in licensees)
+                or len(set(licensees)) < len(licensees)):
+            return      # chains that can never move out
+        lhs = McfgCategory(False, comps)
+        pattern = tuple(tuple(_slot(t) for t in s.exponent.split())
+                        for s in expr.signs)
+        rules.append(McfgRule(lhs, rhs, pattern, tag))
+        agenda.append(lhs)
 
-    def marks(components):
-        got = [c for c in (cat(False, components), cat(True, components))
-               if c is not None]
-        return got
-
-    def inversions(k: McfgCategory):
-        head, chains = k.head, k.components[1:]
-        rules = []
-
-        # unmerge-1: lexical selector, selected features spent
-        for s in suffixes:
-            if s and s[0].kind == SEL and s[1:] == head and s in lex_full:
-                f = s[0].ident
-                a = cat(True, [s])
-                for b in marks([(Feature(BASE, f),), *chains]):
-                    rules.append(McfgRule(
-                        k,
-                        (a, b),
-                        (((0, 0), (1, 0)),) + tuple(_passthrough(len(chains), 1, 1)),
-                        MERGE1))
-        # unmerge-2: derived selector, selected features spent; chains split
-        for s in suffixes:
-            if not (s and s[0].kind == SEL and s[1:] == head):
-                continue
-            f = s[0].ident
-            for cut in range(len(chains) + 1):
-                z1, z2 = chains[:cut], chains[cut:]
-                a = cat(False, [s, *z1])
-                if a is None:
-                    continue
-                for b in marks([(Feature(BASE, f),), *z2]):
-                    pattern = ((((1, 0), (0, 0)),)
-                               + tuple(_passthrough(len(z1), 0, 1))
-                               + tuple(_passthrough(len(z2), 1, 1)))
-                    rules.append(McfgRule(k, (a, b), pattern, MERGE2))
-        # unmerge-3: one chain is the just-selected head with its residue
-        for j, new_chain in enumerate(chains):
-            z1, z2 = chains[:j], chains[j + 1:]
-            for s in suffixes:
-                if not (s and s[0].kind == SEL and s[1:] == head):
-                    continue
-                f = s[0].ident
-                b_head = (Feature(BASE, f),) + new_chain
-                if b_head not in suffixes:
-                    continue
-                for a in marks([s, *z1]):
-                    for b in marks([b_head, *z2]):
-                        pattern = ((((0, 0),),)
-                                   + tuple(_passthrough(len(z1), 0, 1))
-                                   + (((1, 0),),)
-                                   + tuple(_passthrough(len(z2), 1, 1)))
-                        rules.append(McfgRule(k, (a, b), pattern, MERGE3))
-        # unmove-1: reinsert a spent licensee chain
-        for s in suffixes:
-            if not (s and s[0].kind == POS and s[1:] == head):
-                continue
-            f = s[0].ident
-            licensee = (Feature(NEG, f),)
-            if licensee not in suffixes:
-                continue
-            if any(ch[0] == Feature(NEG, f) for ch in chains):
-                continue    # SMC: the reinserted chain must be unique
-            for j in range(len(chains) + 1):
-                comps = [s, *chains[:j], licensee, *chains[j:]]
-                p = cat(False, comps)
-                if p is None:
-                    continue
-                rest = [c for c in range(1, len(comps)) if c != j + 1]
-                pattern = (((0, j + 1), (0, 0)),) + tuple(((0, c),) for c in rest)
-                rules.append(McfgRule(k, (p,), pattern, MOVE1))
-        # unmove-2: a chain loses its leading licensee, everything stays put
-        for j, chain in enumerate(chains):
-            for s in suffixes:
-                if not (s and s[0].kind == POS and s[1:] == head):
-                    continue
-                f = s[0].ident
-                premise_chain = (Feature(NEG, f),) + chain
-                if premise_chain not in suffixes:
-                    continue
-                others = chains[:j] + chains[j + 1:]
-                if any(ch[0] == Feature(NEG, f) for ch in others):
-                    continue    # SMC
-                comps = [s, *chains[:j], premise_chain, *chains[j + 1:]]
-                p = cat(False, comps)
-                if p is None:
-                    continue
-                pattern = tuple(((0, c),) for c in range(len(comps)))
-                rules.append(McfgRule(k, (p,), pattern, MOVE2))
-        return rules
-
-    def axioms(k: McfgCategory):
-        table = lex_full if k.lexical else der_full
-        if k.arity != 1:
-            return []
-        return [McfgRule(k, (), (), AXIOM, entry)
-                for entry in table.get(k.head, ())]
-
-    start_feats = (Feature(BASE, lex.start_symbol),)
-    starts = [c for c in (cat(False, [start_feats]), cat(True, [start_feats]))
-              if c is not None]
-
-    agenda = list(starts)
-    seen = set(agenda)
-    all_rules: list[McfgRule] = []
-    rule_seen = set()
+    done: set[McfgCategory] = set()
+    by_lead: dict[Feature, list[McfgCategory]] = {}
     while agenda:
         k = agenda.pop()
-        rules = axioms(k)
-        if not k.lexical:
-            rules += inversions(k)
-        for rule in rules:
-            if rule in rule_seen:
-                continue
-            rule_seen.add(rule)
-            all_rules.append(rule)
-            for sub in rule.rhs:
-                if sub not in seen:
-                    seen.add(sub)
-                    agenda.append(sub)
+        if k in done or not k.head:     # a spent head neither merges nor moves
+            continue
+        done.add(k)
+        lead = k.head[0]
+        by_lead.setdefault(lead, []).append(k)
+        if lead.kind == SEL:
+            for b in by_lead.get(Feature(BASE, lead.ident), ()):
+                derive(merge, (k, b))
+        elif lead.kind == BASE:
+            for a in by_lead.get(Feature(SEL, lead.ident), ()):
+                derive(merge, (a, k))
+        elif lead.kind == POS:
+            derive(move, (k,))
 
-    # productivity: keep rules whose rhs can all derive terminal material
-    productive: set[McfgCategory] = set()
-    changed = True
-    while changed:
-        changed = False
-        for rule in all_rules:
-            if rule.lhs in productive:
-                continue
-            if rule.is_axiom or all(r in productive for r in rule.rhs):
-                productive.add(rule.lhs)
-                changed = True
-    kept = [r for r in all_rules
-            if r.lhs in productive and all(c in productive for c in r.rhs)]
-
-    # reachability over the productive rules
-    reachable: set[McfgCategory] = {s for s in starts if s in productive}
-    frontier = list(reachable)
+    start = (Feature(BASE, lex.start_symbol),)
+    starts = [c for c in (McfgCategory(False, (start,)),
+                          McfgCategory(True, (start,))) if c in done]
     by_lhs: dict[McfgCategory, list[McfgRule]] = {}
-    for r in kept:
+    for r in rules:
         by_lhs.setdefault(r.lhs, []).append(r)
+    reachable = set(starts)
+    frontier = list(starts)
     while frontier:
-        k = frontier.pop()
-        for rule in by_lhs.get(k, ()):
+        for rule in by_lhs.get(frontier.pop(), ()):
             for sub in rule.rhs:
                 if sub not in reachable:
                     reachable.add(sub)
                     frontier.append(sub)
-    final = [r for r in kept if r.lhs in reachable]
+    final = [r for r in rules if r.lhs in reachable]
 
     entry_order = {id(e): i for i, e in enumerate(lex.entries)}
     final.sort(key=lambda r: (repr(r.lhs), r.is_axiom, r.provenance,
                               entry_order.get(id(r.entry), -1), repr(r)))
-    return CompiledGrammar(lex, final, [s for s in starts if s in reachable])
+    return CompiledGrammar(lex, final, starts)
 
 
 def rule_dump(grammar: CompiledGrammar) -> str:
@@ -443,7 +345,6 @@ def _product(pools):
 
 
 def _join(pieces):
-    from .grammar import fuse_tokens
     toks = []
     for p in pieces:
         toks.extend(p.split())

@@ -26,7 +26,7 @@ from .mcfg import (
 )
 from .terms import (
     EMPTY, LambdaTerm, App, NonTerminating, alpha_canonical, beta_reduce,
-    beta_step, render_term,
+    beta_step, parse_term, render_term,
 )
 
 log = logging.getLogger(__name__)
@@ -376,7 +376,6 @@ class UMP:
 # corpus files: one `utterance TAB term` per line, '#' comments
 
 def load_corpus(text: str) -> list[UMP]:
-    from .terms import parse_term
     out = []
     for ln, raw in enumerate(text.splitlines(), 1):
         if not raw.strip() or raw.lstrip().startswith("#"):

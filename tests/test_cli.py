@@ -94,6 +94,33 @@ def test_produce_recursive_modifier(tmp_path):
     assert "(budget exhausted)" not in line
 
 
+def test_derive_target_searches_each_meaning(tmp_path):
+    # the parser names the target's meanings and each search is bounded by
+    # one of them, so a recursive `old` does not keep the closure going
+    old = tmp_path / "old.mg"
+    old.write_text(RECURSIVE_OLD, encoding="utf-8")
+    done = mgumt_in_subprocess("derive", "--lexicon", str(old),
+                               "--target", "the old mouse eats cheese")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "# ⟨the old mouse eats cheese, :c, eat(cheese)(old(mouse))⟩"
+    assert "(1) merge-1" in lines
+    homophones = tmp_path / "homophones.mg"
+    homophones.write_text(HOMOPHONES, encoding="utf-8")
+    done = mgumt_in_subprocess("derive", "--lexicon", str(homophones),
+                               "--target", "the old mouse eats cheese")
+    assert done.returncode == 0, done.stderr
+    readings = {line for line in done.stdout.splitlines()
+                if line.startswith("# ⟨")}
+    assert readings == {
+        "# ⟨the old mouse eats cheese, :c, eat(cheese)(old(mouse))⟩",
+        "# ⟨the old mouse eats cheese, :c, eat(cheese)(aged(mouse))⟩"}
+    done = mgumt_in_subprocess("derive", "--lexicon", str(old),
+                               "--target", "the mouse cheese eats")
+    assert done.returncode == 1, done.stderr
+    assert done.stdout.strip() == "no complete derivation found"
+
+
 def test_compile_rule_count(gold_path, capsys):
     assert main(["compile", "--lexicon", gold_path]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

@@ -1,13 +1,13 @@
 import pytest
 
-from mgumt.fixtures import table_one
+from mgumt.fixtures import TABLE_ONE, TEACHING_GOLD, table_one
 from mgumt.grammar import (
     Lexicon, complete_derivations, load_lexicon, parse_features,
 )
 from mgumt.mcfg import (
     ROOT, ArityMismatch, CompiledGrammar, EmptyLexicon, McfgCategory,
     NodeIndex, assign_child_indices, compile_grammar, enumerate_strings,
-    render_rule,
+    render_rule, rule_dump,
 )
 
 
@@ -54,8 +54,8 @@ def test_gold_rules_match_published_grammar(gold):
 
 
 def test_two_entry_lexicon():
-    # Oracle: hand enumeration.  From ⟨:c⟩ only unmerge-1 applies (selector
-    # is lexical, selectee spent), so one structural rule plus two axioms.
+    # Oracle: hand enumeration.  Only merge-1 applies (selector is lexical,
+    # selectee spent), so one structural rule plus two axioms.
     lex = load_lexicon("b\t::\tx\tb\na\t::\t=x c\teps\n")
     g = compile_grammar(lex)
     assert len(structural(g)) == 1
@@ -197,3 +197,163 @@ def _random_lexicon(rng):
         return Lexicon(tuple(entries))
     except LexiconError:
         return None
+
+
+# --- pinned rule dumps ------------------------------------------------------------
+
+RECURSIVE_OLD = TABLE_ONE + "old\t::\t=n n\t\\x.old(x)\n"
+LICENSEE_OLD = TABLE_ONE + "old\t::\t=n n -k\t\\x.old(x)\n"
+EMBEDDING = TABLE_ONE + "that\t::\t=c n -k\t\\p.that(p)\nrat\t::\tn\trat\n"
+# the fixture session's final learner lexicon: invented categories and a
+# ":" entry
+LEARNED = """\
+cheese\t::\tt3\tcheese
+carrot\t::\tt3\tcarrot
+eats\t::\t=t3 =t1 c\t\\w3.\\w1.eat(w3)(w1)
+eat\t::\t=t3 =t1 c\t\\w3.\\w1.eat(w3)(w1)
+rat\t::\tt2 -a4\trat
+eps\t::\t=t2 +a4 t5\teps
+-s\t::\t=t2 +a4 t5\teps
+the\t::\t=t5 t1\teps
+mice\t:\tt5\tmice
+mouse\t::\tt2 -a6\tmouse
+eps\t::\t=t2 +a6 t5\teps
+"""
+
+TEACHING_GOLD_DUMP = """\
+⟨:+f +kpl t, -f, -kpl⟩(e0 e1, e2, e3) <- ⟨::=pred +f +kpl t⟩(e0) ⟨:pred, -f, -kpl⟩(e1, e2, e3)
+⟨:+f +ksg t, -f, -ksg⟩(e0 e1, e2, e3) <- ⟨::=pred +f +ksg t⟩(e0) ⟨:pred, -f, -ksg⟩(e1, e2, e3)
+⟨:+k =d pred, -f, -k⟩(e0, e1, e2) <- ⟨::=v +k =d pred⟩(e0) ⟨:v -f, -k⟩(e1, e2)
+⟨:+kpl t, -kpl⟩(e1 e0, e2) <- ⟨:+f +kpl t, -f, -kpl⟩(e0, e1, e2)
+⟨:+ksg t, -ksg⟩(e1 e0, e2) <- ⟨:+f +ksg t, -f, -ksg⟩(e0, e1, e2)
+⟨::=n v -f⟩(eat)
+⟨::=npl d -kpl⟩(the)
+⟨::=nsg d -ksg⟩(the)
+⟨::=pred +f +kpl t⟩(ε)
+⟨::=pred +f +ksg t⟩(-s)
+⟨::=t c⟩(ε)
+⟨::=v +k =d pred⟩(ε)
+⟨::n -k⟩(cheese)
+⟨::n -k⟩(carrot)
+⟨::npl⟩(rats)
+⟨::npl⟩(mice)
+⟨::nsg⟩(mouse)
+⟨::nsg⟩(rat)
+⟨:=d pred, -f⟩(e2 e0, e1) <- ⟨:+k =d pred, -f, -k⟩(e0, e1, e2)
+⟨:c⟩(e0 e1) <- ⟨::=t c⟩(e0) ⟨:t⟩(e1)
+⟨:d -kpl⟩(e0 e1) <- ⟨::=npl d -kpl⟩(e0) ⟨::npl⟩(e1)
+⟨:d -ksg⟩(e0 e1) <- ⟨::=nsg d -ksg⟩(e0) ⟨::nsg⟩(e1)
+⟨:pred, -f, -kpl⟩(e0, e1, e2) <- ⟨:=d pred, -f⟩(e0, e1) ⟨:d -kpl⟩(e2)
+⟨:pred, -f, -ksg⟩(e0, e1, e2) <- ⟨:=d pred, -f⟩(e0, e1) ⟨:d -ksg⟩(e2)
+⟨:t⟩(e1 e0) <- ⟨:+kpl t, -kpl⟩(e0, e1)
+⟨:t⟩(e1 e0) <- ⟨:+ksg t, -ksg⟩(e0, e1)
+⟨:v -f, -k⟩(e0, e1) <- ⟨::=n v -f⟩(e0) ⟨::n -k⟩(e1)
+"""
+
+RECURSIVE_OLD_DUMP = """\
+⟨:+f +k t, -f, -k⟩(e0 e1, e2, e3) <- ⟨::=pred +f +k t⟩(e0) ⟨:pred, -f, -k⟩(e1, e2, e3)
+⟨:+k =d pred, -f, -k⟩(e0, e1, e2) <- ⟨::=v +k =d pred⟩(e0) ⟨:v -f, -k⟩(e1, e2)
+⟨:+k t, -k⟩(e1 e0, e2) <- ⟨:+f +k t, -f, -k⟩(e0, e1, e2)
+⟨::=n d -k⟩(the)
+⟨::=n n⟩(old)
+⟨::=n v -f⟩(eat)
+⟨::=pred +f +k t⟩(-s)
+⟨::=t c⟩(ε)
+⟨::=v +k =d pred⟩(ε)
+⟨::n -k⟩(cheese)
+⟨::n⟩(mouse)
+⟨:=d pred, -f⟩(e2 e0, e1) <- ⟨:+k =d pred, -f, -k⟩(e0, e1, e2)
+⟨:c⟩(e0 e1) <- ⟨::=t c⟩(e0) ⟨:t⟩(e1)
+⟨:d -k⟩(e0 e1) <- ⟨::=n d -k⟩(e0) ⟨::n⟩(e1)
+⟨:d -k⟩(e0 e1) <- ⟨::=n d -k⟩(e0) ⟨:n⟩(e1)
+⟨:n, -k⟩(e0 e1, e2) <- ⟨::=n n⟩(e0) ⟨:n, -k⟩(e1, e2)
+⟨:n, -k⟩(e0, e1) <- ⟨::=n n⟩(e0) ⟨::n -k⟩(e1)
+⟨:n⟩(e0 e1) <- ⟨::=n n⟩(e0) ⟨::n⟩(e1)
+⟨:n⟩(e0 e1) <- ⟨::=n n⟩(e0) ⟨:n⟩(e1)
+⟨:pred, -f, -k⟩(e0, e1, e2) <- ⟨:=d pred, -f⟩(e0, e1) ⟨:d -k⟩(e2)
+⟨:t⟩(e1 e0) <- ⟨:+k t, -k⟩(e0, e1)
+⟨:v -f, -k⟩(e0 e1, e2) <- ⟨::=n v -f⟩(e0) ⟨:n, -k⟩(e1, e2)
+⟨:v -f, -k⟩(e0, e1) <- ⟨::=n v -f⟩(e0) ⟨::n -k⟩(e1)
+"""
+
+EMBEDDING_DUMP = """\
+⟨:+f +k t, -f, -k⟩(e0 e1, e2, e3) <- ⟨::=pred +f +k t⟩(e0) ⟨:pred, -f, -k⟩(e1, e2, e3)
+⟨:+k =d pred, -f, -k⟩(e0, e1, e2) <- ⟨::=v +k =d pred⟩(e0) ⟨:v -f, -k⟩(e1, e2)
+⟨:+k t, -k⟩(e1 e0, e2) <- ⟨:+f +k t, -f, -k⟩(e0, e1, e2)
+⟨::=c n -k⟩(that)
+⟨::=n d -k⟩(the)
+⟨::=n v -f⟩(eat)
+⟨::=pred +f +k t⟩(-s)
+⟨::=t c⟩(ε)
+⟨::=v +k =d pred⟩(ε)
+⟨::n -k⟩(cheese)
+⟨::n⟩(mouse)
+⟨::n⟩(rat)
+⟨:=d pred, -f⟩(e2 e0, e1) <- ⟨:+k =d pred, -f, -k⟩(e0, e1, e2)
+⟨:c⟩(e0 e1) <- ⟨::=t c⟩(e0) ⟨:t⟩(e1)
+⟨:d -k⟩(e0 e1) <- ⟨::=n d -k⟩(e0) ⟨::n⟩(e1)
+⟨:n -k⟩(e0 e1) <- ⟨::=c n -k⟩(e0) ⟨:c⟩(e1)
+⟨:pred, -f, -k⟩(e0, e1, e2) <- ⟨:=d pred, -f⟩(e0, e1) ⟨:d -k⟩(e2)
+⟨:t⟩(e1 e0) <- ⟨:+k t, -k⟩(e0, e1)
+⟨:v -f, -k⟩(e0, e1) <- ⟨::=n v -f⟩(e0) ⟨::n -k⟩(e1)
+⟨:v -f, -k⟩(e0, e1) <- ⟨::=n v -f⟩(e0) ⟨:n -k⟩(e1)
+"""
+
+LEARNED_DUMP = """\
+⟨:+a4 t5, -a4⟩(e0, e1) <- ⟨::=t2 +a4 t5⟩(e0) ⟨::t2 -a4⟩(e1)
+⟨:+a6 t5, -a6⟩(e0, e1) <- ⟨::=t2 +a6 t5⟩(e0) ⟨::t2 -a6⟩(e1)
+⟨::=t2 +a4 t5⟩(ε)
+⟨::=t2 +a4 t5⟩(-s)
+⟨::=t2 +a6 t5⟩(ε)
+⟨::=t3 =t1 c⟩(eats)
+⟨::=t3 =t1 c⟩(eat)
+⟨::=t5 t1⟩(the)
+⟨::t2 -a4⟩(rat)
+⟨::t2 -a6⟩(mouse)
+⟨::t3⟩(cheese)
+⟨::t3⟩(carrot)
+⟨:=t1 c⟩(e0 e1) <- ⟨::=t3 =t1 c⟩(e0) ⟨::t3⟩(e1)
+⟨:c⟩(e1 e0) <- ⟨:=t1 c⟩(e0) ⟨:t1⟩(e1)
+⟨:t1⟩(e0 e1) <- ⟨::=t5 t1⟩(e0) ⟨:t5⟩(e1)
+⟨:t5⟩(e1 e0) <- ⟨:+a4 t5, -a4⟩(e0, e1)
+⟨:t5⟩(e1 e0) <- ⟨:+a6 t5, -a6⟩(e0, e1)
+⟨:t5⟩(mice)
+"""
+
+LICENSEE_OLD_DUMP = """\
+⟨:+f +k t, -f, -k⟩(e0 e1, e2, e3) <- ⟨::=pred +f +k t⟩(e0) ⟨:pred, -f, -k⟩(e1, e2, e3)
+⟨:+k =d pred, -f, -k⟩(e0, e1, e2) <- ⟨::=v +k =d pred⟩(e0) ⟨:v -f, -k⟩(e1, e2)
+⟨:+k t, -k⟩(e1 e0, e2) <- ⟨:+f +k t, -f, -k⟩(e0, e1, e2)
+⟨::=n d -k⟩(the)
+⟨::=n n -k⟩(old)
+⟨::=n v -f⟩(eat)
+⟨::=pred +f +k t⟩(-s)
+⟨::=t c⟩(ε)
+⟨::=v +k =d pred⟩(ε)
+⟨::n -k⟩(cheese)
+⟨::n⟩(mouse)
+⟨:=d pred, -f⟩(e2 e0, e1) <- ⟨:+k =d pred, -f, -k⟩(e0, e1, e2)
+⟨:c⟩(e0 e1) <- ⟨::=t c⟩(e0) ⟨:t⟩(e1)
+⟨:d -k⟩(e0 e1) <- ⟨::=n d -k⟩(e0) ⟨::n⟩(e1)
+⟨:n -k⟩(e0 e1) <- ⟨::=n n -k⟩(e0) ⟨::n⟩(e1)
+⟨:pred, -f, -k⟩(e0, e1, e2) <- ⟨:=d pred, -f⟩(e0, e1) ⟨:d -k⟩(e2)
+⟨:t⟩(e1 e0) <- ⟨:+k t, -k⟩(e0, e1)
+⟨:v -f, -k⟩(e0, e1) <- ⟨::=n v -f⟩(e0) ⟨::n -k⟩(e1)
+⟨:v -f, -k⟩(e0, e1) <- ⟨::=n v -f⟩(e0) ⟨:n -k⟩(e1)
+"""
+
+
+@pytest.mark.parametrize("text,dump", [
+    (TEACHING_GOLD, TEACHING_GOLD_DUMP),
+    # `the` over `old cheese` gives ⟨:d -k, -k⟩, whose two -k chains can
+    # never move: the closure drops it
+    (RECURSIVE_OLD, RECURSIVE_OLD_DUMP),
+    (EMBEDDING, EMBEDDING_DUMP),
+    (LEARNED, LEARNED_DUMP),
+    # each `old` over a ⟨:n -k, ...⟩ would add a -k chain; dropping items
+    # with two is what ends the closure
+    (LICENSEE_OLD, LICENSEE_OLD_DUMP),
+], ids=["teaching-gold", "recursive-old", "embedding", "learned",
+        "licensee-old"])
+def test_rule_dump_pinned(text, dump):
+    assert rule_dump(compile_grammar(load_lexicon(text))) == dump
