@@ -62,6 +62,11 @@ class McfgCategory:
         for chain in self.components[1:]:
             if not chain or chain[0].kind != NEG:
                 raise ValueError("chains must start with a licensee")
+        # the parser hashes a category at every step
+        object.__setattr__(self, "_hash", hash((self.lexical, self.components)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def arity(self):
@@ -192,15 +197,24 @@ class CompiledGrammar:
     start_categories: list[McfgCategory]
 
     def __post_init__(self):
-        self.by_lhs: dict[McfgCategory, list[McfgRule]] = {}
+        self._axioms: dict[McfgCategory, list[McfgRule]] = {}
+        self._expansions: dict[McfgCategory, list[McfgRule]] = {}
         for rule in self.rules:
-            self.by_lhs.setdefault(rule.lhs, []).append(rule)
+            split = self._axioms if rule.is_axiom else self._expansions
+            split.setdefault(rule.lhs, []).append(rule)
+        # the suffix tokens ("-s") the axioms spell, which a scan may split
+        # off the end of an input token
+        self.suffix_tokens = {t for r in self.rules if r.is_axiom
+                              for t in r.entry.exponent.split()
+                              if t.startswith("-")}
 
     def expansions(self, cat: McfgCategory) -> list[McfgRule]:
-        return [r for r in self.by_lhs.get(cat, ()) if not r.is_axiom]
+        """The non-axiom rules for cat, in grammar order; not to be changed."""
+        return self._expansions.get(cat, [])
 
     def axioms(self, cat: McfgCategory) -> list[McfgRule]:
-        return [r for r in self.by_lhs.get(cat, ()) if r.is_axiom]
+        """The axioms for cat, in grammar order; not to be changed."""
+        return self._axioms.get(cat, [])
 
 
 def _skeleton(cat: McfgCategory, r: int) -> Expression:

@@ -109,7 +109,6 @@ class App(LambdaTerm):
 
 
 class _Empty(LambdaTerm):
-    __slots__ = ()
     _instance = None
 
     def __new__(cls):
@@ -128,38 +127,51 @@ def v(text: str) -> Var:
     return Var(var_name(text))
 
 
+# Terms never change, so what is computed from one is kept on it, as a
+# private attribute, the first time it is asked for.  (Reading t.__dict__
+# instead would build a dict for every fresh node.)
+
 def free_vars(t: LambdaTerm) -> frozenset[VariableName]:
-    if isinstance(t, Var):
-        return frozenset((t.name,))
-    if isinstance(t, Abs):
-        return free_vars(t.body) - {t.binder}
-    if isinstance(t, App):
-        return free_vars(t.fun) | free_vars(t.arg)
-    return frozenset()
+    got = getattr(t, "_free_vars", None)
+    if got is None:
+        if isinstance(t, Var):
+            got = frozenset((t.name,))
+        elif isinstance(t, Abs):
+            got = free_vars(t.body) - {t.binder}
+        elif isinstance(t, App):
+            got = free_vars(t.fun) | free_vars(t.arg)
+        else:
+            got = frozenset()
+        object.__setattr__(t, "_free_vars", got)
+    return got
+
+
+def _constants(t: LambdaTerm) -> Counter:
+    got = getattr(t, "_constants", None)
+    if got is None:
+        if isinstance(t, Var):
+            got = Counter((t.name.text,))
+        elif isinstance(t, Abs):
+            got = Counter(_constants(t.body))
+            del got[t.binder.text]
+        elif isinstance(t, App):
+            got = _constants(t.fun) + _constants(t.arg)
+        else:
+            got = Counter()
+        object.__setattr__(t, "_constants", got)
+    return got
 
 
 def constants(t: LambdaTerm) -> Counter:
     """The free names of t as a multiset: each name's text with its number
-    of free occurrences.
+    of free occurrences.  The result is the caller's to change.
 
     Reduction never lowers a count: a λ-I binder occurs in its body, so
     contracting (\\x.b)(a) keeps at least one copy of a, and EMPTY applied
     to a term, or a term applied to EMPTY, contracts to that term.  Hence
     constants(beta_reduce(f(a))) >= constants(f) + constants(a).
     """
-    counts: Counter = Counter()
-    stack = [(t, frozenset())]
-    while stack:
-        t, bound = stack.pop()
-        if isinstance(t, Var):
-            if t.name.text not in bound:
-                counts[t.name.text] += 1
-        elif isinstance(t, Abs):
-            stack.append((t.body, bound | {t.binder.text}))
-        elif isinstance(t, App):
-            stack.append((t.fun, bound))
-            stack.append((t.arg, bound))
-    return counts
+    return Counter(_constants(t))
 
 
 def all_names(t: LambdaTerm) -> frozenset[VariableName]:
@@ -188,22 +200,18 @@ def fresh_name(base: VariableName, avoid) -> VariableName:
 def substitute(t: LambdaTerm, name: VariableName, u: LambdaTerm) -> LambdaTerm:
     """Replace every free occurrence of name in t by u, renaming binders of t
     that would capture a free variable of u."""
+    if name not in free_vars(t):
+        return t
     if isinstance(t, Var):
-        return u if t.name == name else t
+        return u
     if isinstance(t, App):
         return App(substitute(t.fun, name, u), substitute(t.arg, name, u))
-    if isinstance(t, Abs):
-        if t.binder == name:
-            return t
-        if name not in free_vars(t.body):
-            return t
-        if t.binder in free_vars(u):
-            renamed = fresh_name(t.binder,
-                                 free_vars(u) | all_names(t.body) | {name})
-            body = substitute(t.body, t.binder, Var(renamed))
-            return Abs(renamed, substitute(body, name, u))
-        return Abs(t.binder, substitute(t.body, name, u))
-    return t
+    if t.binder in free_vars(u):
+        renamed = fresh_name(t.binder,
+                             free_vars(u) | all_names(t.body) | {name})
+        body = substitute(t.body, t.binder, Var(renamed))
+        return Abs(renamed, substitute(body, name, u))
+    return Abs(t.binder, substitute(t.body, name, u))
 
 
 def apply(f: LambdaTerm, a: LambdaTerm) -> LambdaTerm:
@@ -219,8 +227,11 @@ def beta_step(t: LambdaTerm) -> LambdaTerm | None:
     """Contract the leftmost-outermost redex; None if t is normal.
 
     Applications of EMPTY count as redexes so normal forms never contain the
-    empty term as a proper subterm.
+    empty term as a proper subterm.  A node found normal is marked so, and
+    later steps pass over it at once.
     """
+    if getattr(t, "_normal", False):
+        return None
     if isinstance(t, App):
         if isinstance(t.fun, Abs):
             return substitute(t.fun.body, t.fun.binder, t.arg)
@@ -234,12 +245,11 @@ def beta_step(t: LambdaTerm) -> LambdaTerm | None:
         step = beta_step(t.arg)
         if step is not None:
             return App(t.fun, step)
-        return None
-    if isinstance(t, Abs):
+    elif isinstance(t, Abs):
         step = beta_step(t.body)
         if step is not None:
             return Abs(t.binder, step)
-        return None
+    object.__setattr__(t, "_normal", True)
     return None
 
 

@@ -2,10 +2,14 @@
 
 The parser is an incremental top-down recognizer (priority queue of
 predicted categories ordered by node index, expand/scan/sort/accept) that
-enumerates the accepting paths depth first.  The meaning of a path comes
-from a second queue, sorted in reverse index order, that holds every
-scanned sign's semantics: the path's expansions, replayed bottom-up, say
-which items combine; wherever a rule concatenates the selector's or
+enumerates the accepting paths depth first.  An expansion merges its
+predictions into the queue, which stays sorted, and the search skips every
+state (remaining input and queue) already explored without an accept; so
+one step of its budget is a scan or expansion into a new or live state,
+and only exponentially many accepting paths exhaust it.  The meaning of a
+path comes from a second queue, sorted in reverse index order, that holds
+every scanned sign's semantics: the path's expansions, replayed bottom-up,
+say which items combine; wherever a rule concatenates the selector's or
 licensor's string with another, lambda application puts their meanings
 together, as merge and move do in the derivation engine.  `understand`
 composes the first path, `all_meanings` every one.  Production searches
@@ -17,7 +21,9 @@ logical form's (generation directed by the logical form).
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .grammar import Lexicon, complete_derivations
 from .mcfg import (
@@ -55,9 +61,17 @@ class ParserBudget(Exception):
 class QueueItem:
     category: McfgCategory
     indices: tuple[NodeIndex, ...]
+    # the digits of its smallest index: the item's place in the queue
+    order: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    def key(self) -> NodeIndex:
-        return min(self.indices)
+    def __post_init__(self):
+        digits = [i.digits for i in self.indices]
+        object.__setattr__(self, "order", min(digits))
+        # the parser hashes whole queues to recognise dead states
+        object.__setattr__(self, "_hash", hash((self.category, *digits)))
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         return f"{self.category!r}({', '.join(map(repr, self.indices))})"
@@ -93,8 +107,21 @@ class RecognizeResult:
         return "\n".join(f"{i}\t{s.render()}" for i, s in enumerate(self.steps, 1))
 
 
-def _sorted_queue(items) -> tuple:
-    return tuple(sorted(items, key=QueueItem.key))
+_order = attrgetter("order")
+
+
+def _merge(children: tuple, tail: tuple) -> tuple:
+    """The queue after an expansion: what a stable sort of children + tail
+    by order gives, for a tail already in order.  Each child, in order, goes
+    before the first tail item that does not precede it."""
+    queue = []
+    done = 0
+    for child in sorted(children, key=_order):
+        at = bisect_left(tail, child.order, done, key=_order)
+        queue += tail[done:at]
+        queue.append(child)
+        done = at
+    return tuple(queue) + tail[done:]
 
 
 def _scan_tokens(axiom: McfgRule, input_toks, suffix_tokens):
@@ -121,62 +148,87 @@ def _scan_tokens(axiom: McfgRule, input_toks, suffix_tokens):
 
 def _parses(grammar: CompiledGrammar, utterance, max_steps: int):
     """Top-down search with chronological backtracking, depth first over an
-    explicit stack: axioms before expansions, each in grammar order.
+    explicit stack: start categories in grammar order, then at each state
+    axioms before expansions, each in grammar order.
 
     Yields the steps of every accepting path in turn, and returns the
-    deepest failure: (tokens consumed, tokens expected there).  Each scan
-    or expansion taken costs one of `max_steps`, summed over the search.
+    deepest failure: (tokens consumed, tokens expected there).
+
+    A search state is the remaining input and the queue, and the search
+    below a state depends on nothing else.  So once a state's moves have
+    all been explored without an accept, the state is dead, and a later
+    move into it is skipped: it would find no path, and only the failures
+    already recorded.  Each scan or expansion into a state not known dead
+    costs one of `max_steps`, summed over the search; so rejections take
+    polynomial time, while exponentially many accepting paths still run
+    out of steps.
     """
     toks = tuple(utterance.split() if isinstance(utterance, str) else utterance)
-    suffix_tokens = {t for r in grammar.rules if r.is_axiom
-                     for t in r.entry.exponent.split() if t.startswith("-")}
     budget = max_steps
     failed: dict[int, set[str]] = {}    # tokens consumed -> tokens expected
     steps: list[Step] = []
-    for start in grammar.start_categories:
-        # a move not yet taken: (len(steps) before it, rule, input, queue,
-        # input after it); the first one only visits the start prediction
-        stack = [(0, None, toks, (QueueItem(start, (ROOT,)),), toks)]
-        while stack:
-            n, rule, input_toks, queue, left = stack.pop()
-            del steps[n:]
-            if rule is not None and rule.is_axiom:
-                budget -= 1
-                steps.append(Step("scan", rule, input_toks, queue))
-                queue = queue[1:]
-            elif rule is not None:
-                budget -= 1
-                steps.append(Step("expand", rule, input_toks, queue))
-                children = assign_child_indices(rule, list(queue[0].indices))
-                unsorted = tuple(QueueItem(cat, idx) for cat, idx
-                                 in zip(rule.rhs, children)) + queue[1:]
-                queue = _sorted_queue(unsorted)
-                if queue != unsorted:
-                    steps.append(Step("sort", None, input_toks, unsorted))
-            if budget <= 0:
-                raise ParserBudget(f"no parse within {max_steps} steps")
-            consumed = len(toks) - len(left)
-            if not queue:
-                if left:
-                    failed.setdefault(consumed, set())
-                else:
-                    steps.append(Step("accept", None, left, queue))
-                    yield list(steps)
-                continue
-            category = queue[0].category
-            axioms = grammar.axioms(category)
-            expansions = grammar.expansions(category)
-            if not axioms and not expansions:
+    # The remaining input is a suffix of toks but for its first token, which
+    # may be a split-off suffix; so its length and first token name it.
+    dead: set[tuple] = set()            # (len(left), left[:1], queue)
+    accepts = 0
+    # the states whose moves are on the stack: (state, stack height below
+    # its moves, accepts before them); each is an ancestor of the next
+    open_states: list[tuple] = []
+    # a move not yet taken: (len(steps) before it, rule, input, queue,
+    # input after it); a start move only visits the start prediction
+    stack = [(0, None, toks, (QueueItem(start, (ROOT,)),), toks)
+             for start in reversed(grammar.start_categories)]
+    while stack:
+        while open_states and len(stack) <= open_states[-1][1]:
+            state, _, before = open_states.pop()
+            if accepts == before:
+                dead.add(state)
+        n, rule, input_toks, queue, left = stack.pop()
+        del steps[n:]
+        if rule is not None and rule.is_axiom:
+            steps.append(Step("scan", rule, input_toks, queue))
+            queue = queue[1:]
+        elif rule is not None:
+            steps.append(Step("expand", rule, input_toks, queue))
+            children = tuple(QueueItem(cat, idx) for cat, idx in zip(
+                rule.rhs, assign_child_indices(rule, list(queue[0].indices))))
+            tail = queue[1:]
+            unsorted = children + tail
+            queue = _merge(children, tail)
+            if queue != unsorted:
+                steps.append(Step("sort", None, input_toks, unsorted))
+        state = (len(left), left[:1], queue)
+        if state in dead:
+            continue
+        if rule is not None:
+            budget -= 1
+        if budget <= 0:
+            raise ParserBudget(f"no parse within {max_steps} steps")
+        consumed = len(toks) - len(left)
+        if not queue:
+            if left:
                 failed.setdefault(consumed, set())
-            moves = []
-            for axiom in axioms:
-                after = _scan_tokens(axiom, left, suffix_tokens)
-                if after is None:
-                    failed.setdefault(consumed, set()).add(
-                        axiom.entry.exponent or "ε")
-                else:
-                    moves.append((len(steps), axiom, left, queue, after))
-            moves += [(len(steps), r, left, queue, left) for r in expansions]
+            else:
+                accepts += 1
+                steps.append(Step("accept", None, left, queue))
+                yield list(steps)
+            continue
+        category = queue[0].category
+        axioms = grammar.axioms(category)
+        expansions = grammar.expansions(category)
+        if not axioms and not expansions:
+            failed.setdefault(consumed, set())
+        moves = []
+        for axiom in axioms:
+            after = _scan_tokens(axiom, left, grammar.suffix_tokens)
+            if after is None:
+                failed.setdefault(consumed, set()).add(
+                    axiom.entry.exponent or "ε")
+            else:
+                moves.append((len(steps), axiom, left, queue, after))
+        moves += [(len(steps), r, left, queue, left) for r in expansions]
+        if moves:
+            open_states.append((state, len(stack), accepts))
             stack += reversed(moves)
     position = max(failed, default=0)
     return position, frozenset(failed.get(position, ()))

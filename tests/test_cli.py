@@ -181,15 +181,32 @@ def test_parse_deep_embedding(tmp_path, capsys):
     assert rows[-1] == f"meaning\t{meaning}"
 
 
-@pytest.mark.parametrize("command,lexicon,sentence", [
-    ("parse", HOMOPHONES, "the " + "old " * 10 + "mouse cheese eats"),
+@pytest.mark.parametrize("lexicon,command", [
+    # derive --target parses for every reading: 1,024 of them outrun the
+    # parser's steps
+    (HOMOPHONES, ["derive", "--target", "the " + "old " * 10 + "mouse eats cheese"]),
 ], ids=["parser-budget"])
-def test_limit_exit_code(command, lexicon, sentence, tmp_path, capsys):
+def test_limit_exit_code(lexicon, command, tmp_path, capsys):
     path = tmp_path / "lex.mg"
     path.write_text(lexicon, encoding="utf-8")
-    assert main([command, "--lexicon", str(path), "--input", sentence]) == 1
+    assert main([command[0], "--lexicon", str(path), *command[1:]]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("command,row", [
+    ("parse", "reject\tposition 22\texpected: eat"),
+    ("understand", "reject\trejected at token 22; expected one of: eat"),
+])
+def test_homophone_rejection_answers(command, row, tmp_path):
+    # 2^20 ways to read old^20, all failing at the same token: the parser
+    # rejects them in time linear in 20
+    path = tmp_path / "lex.mg"
+    path.write_text(HOMOPHONES, encoding="utf-8")
+    done = mgumt_in_subprocess(command, "--lexicon", str(path), "--input",
+                               "the " + "old " * 20 + "mouse cheese eats")
+    assert done.returncode == 1, done.stderr
+    assert done.stdout.splitlines()[-1] == row
 
 
 def test_understand_constant_semantics(tmp_path, capsys):
@@ -238,16 +255,16 @@ def test_repl_session(teach_paths, monkeypatch, capsys, tmp_path):
 
 
 def test_repl_survives_parser_budget(tmp_path):
-    # the teacher's parse of old^10 runs out of steps: the repl reports it
-    # and goes on with the next command
+    # the teacher's parse of old^10, with its 1,024 readings, runs out of
+    # steps: the repl reports it and goes on with the next command
     path = tmp_path / "gold.mg"
     path.write_text(HOMOPHONES, encoding="utf-8")
     meaning = "eat(cheese)(" + "old(" * 10 + "mouse" + ")" * 11
-    commands = ["teach the " + "old " * 10 + f"mouse cheese eats | {meaning}",
+    commands = ["teach the " + "old " * 10 + f"mouse eats cheese | {meaning}",
                 f"ask {meaning}", "lexicon"]
     done = mgumt_in_subprocess("repl", "--gold", str(path),
                                stdin="\n".join(commands) + "\n")
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     error = next(i for i, line in enumerate(lines) if line.startswith("error: "))
-    assert lines[error + 1].endswith(f"mouse cheese eats\t:\tc\t{meaning}")
+    assert lines[error + 1].endswith(f"mouse eats cheese\t:\tc\t{meaning}")

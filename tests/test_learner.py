@@ -323,4 +323,4 @@ def test_parser_budget_is_not_underivable():
         + "old\t::\t=n n\t\\x.aged(x)\n"))
     meaning = p("eat(cheese)(" + "old(" * 10 + "mouse" + ")" * 11)
     with pytest.raises(ParserBudget):
-        s.derivable(UMP("the " + "old " * 10 + "mouse cheese eats", meaning))
+        s.derivable(UMP("the " + "old " * 10 + "mouse eats cheese", meaning))

@@ -1,10 +1,12 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mgumt.fixtures import TABLE_ONE, table_one, teaching_gold
 from mgumt.grammar import LexiconError, complete_derivations, load_lexicon
 from mgumt.learner import LearnerState
-from mgumt.mcfg import compile_grammar, enumerate_strings
+from mgumt.mcfg import assign_child_indices, compile_grammar, enumerate_strings
 from mgumt.terms import (
     EMPTY, App, alpha_canonical, alpha_equivalent, constants, parse_term,
     render_term, v,
@@ -400,13 +402,53 @@ def test_all_meanings_homophones():
 
 
 def test_parser_budget_boundary():
-    # the failed search over 2^k readings of old^k fits 10,000 steps at k = 9
-    r = recognize(HOMOPHONES, "the " + "old " * 9 + "mouse cheese eats")
-    assert not r.accepted and r.position == 11
+    # each of the 2^k readings of a grammatical old^k is an accepting path
+    # of its own: 512 of them fit 10,000 steps, 1,024 do not
+    got = all_meanings(HOMOPHONES, "the " + "old " * 9 + "mouse eats cheese")
+    assert len(got) == 512
     with pytest.raises(ParserBudget):
-        recognize(HOMOPHONES, "the " + "old " * 10 + "mouse cheese eats")
-    with pytest.raises(ParserBudget):
-        all_meanings(HOMOPHONES, "the " + "old " * 10 + "mouse cheese eats")
+        all_meanings(HOMOPHONES, "the " + "old " * 10 + "mouse eats cheese")
+
+
+def test_rejection_is_linear_in_homophones(monkeypatch):
+    # the two readings of each old lead to the same search state, which is
+    # searched once: the expansions grow with k, not with 2^k
+    made = []
+
+    def counting(rule, indices):
+        made.append(rule)
+        return assign_child_indices(rule, indices)
+
+    monkeypatch.setattr("mgumt.transducer.assign_child_indices", counting)
+    ks = (5, 10, 20, 40)
+    counts = []
+    for k in ks:
+        made.clear()
+        r = recognize(HOMOPHONES, "the " + "old " * k + "mouse cheese eats")
+        assert not r.accepted
+        assert (r.position, r.expected) == (k + 2, {"eat"})
+        counts.append(len(made))
+    # expansions per further old do not grow with k
+    slopes = [(c1 - c0) / (k1 - k0) for k0, k1, c0, c1
+              in zip(ks, ks[1:], counts, counts[1:])]
+    assert slopes[-1] <= slopes[0]
+
+
+def test_dead_states_keep_every_reading():
+    for k in range(9):
+        got = all_meanings(HOMOPHONES, "the " + "old " * k + "mouse eats cheese")
+        assert len({render_term(m) for m in got}) == 2 ** k
+
+
+def test_embedding_trace_unchanged():
+    # the trace of a depth-10 embedding, as the parser gave it before the
+    # queue merge and the dead states
+    grammar = compile_grammar(load_lexicon(DERIVATION_CASES["embedding"][0]))
+    sentence = " ".join(["the rat eats that"] * 10 + ["the mouse eats cheese"])
+    trace = recognize(grammar, sentence).render()
+    assert len(trace.splitlines()) == 231
+    assert hashlib.sha256(trace.encode()).hexdigest() == (
+        "fa0873e54b15b861a7dfa272cfc8c817ac3fb3650b296bb47f4e0a011983cb8e")
 
 
 # --- round trip -------------------------------------------------------------------
