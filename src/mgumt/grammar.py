@@ -422,6 +422,13 @@ def complete_derivations(lex: Lexicon,
     `produce`, `mgumt derive` and the learner's slot analogy use it; whether
     an utterance has a meaning is the parser's question (`all_meanings`).
 
+    Processed trees are indexed by their head's leading feature (the agenda
+    index of Harkema 2001 and Stabler 2013): a popped tree led by `=f` is
+    merged with each processed tree led by `f`, one led by `f` with each
+    led by `=f`, in processed order.  Only one order of a pair can merge,
+    and a failed merge pushes nothing, so trees are pushed in the order
+    that trying every pair both ways pushes them: every output is the same.
+
     Given a `meaning`, the search keeps only expressions whose constants,
     counted over all their signs, fit within the meaning's.  Merge and move
     apply one sign's semantics to another's, and reduction never lowers a
@@ -461,7 +468,8 @@ def complete_derivations(lex: Lexicon,
     for entry in lex.entries:
         push(DerivationTree.leaf(entry))
 
-    processed: list[DerivationTree] = []
+    # processed trees by their head's leading feature, in processed order
+    processed: dict[Feature, list[DerivationTree]] = {}
     trees: list[DerivationTree] = []
     complete: list[DerivationTree] = []
     complete_keys = set()
@@ -485,11 +493,16 @@ def complete_derivations(lex: Lexicon,
             if k not in complete_keys:
                 complete_keys.add(k)
                 complete.append(tree)
-        processed.append(tree)
-        for other in processed:
-            consider(tree, other)
-            if other is not tree:
-                consider(other, tree)
+        lead = tree.sign.stype.features[:1]
+        if lead and lead[0].kind in (SEL, BASE):
+            f = lead[0]
+            processed.setdefault(f, []).append(tree)
+            if f.kind == SEL:
+                for other in processed.get(Feature(BASE, f.ident), ()):
+                    consider(tree, other)
+            else:
+                for other in processed.get(Feature(SEL, f.ident), ()):
+                    consider(other, tree)
         try:
             expr, tag = move(tree.expression)
         except (FeatureMismatch, SmcViolation):

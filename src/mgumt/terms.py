@@ -421,16 +421,26 @@ def parse_term(text: str) -> LambdaTerm:
 
 def render_term(t: LambdaTerm, unicode_lambda: bool = False) -> str:
     lam = "λ" if unicode_lambda else "\\"
-
-    def walk(t, fun_position):
-        if t is EMPTY:
-            return "ε" if unicode_lambda else "eps"
-        if isinstance(t, Var):
-            return t.name.text
-        if isinstance(t, Abs):
-            body = walk(t.body, False)
-            s = f"{lam}{t.binder.text}.{body}"
-            return f"({s})" if fun_position else s
-        return f"{walk(t.fun, True)}({walk(t.arg, False)})"
-
-    return walk(t, False)
+    empty = "ε" if unicode_lambda else "eps"
+    out = []
+    # what is left to write, next last: text, or a term; kept off the call
+    # stack, as meanings can nest thousands deep
+    todo: list = [t]
+    while todo:
+        t = todo.pop()
+        kind = type(t)
+        if kind is str:
+            out.append(t)
+        elif kind is Var:
+            out.append(t.name.text)
+        elif kind is App:
+            if type(t.fun) is Abs:      # parenthesised in function position
+                todo += [")", t.arg, "(", ")", t.fun, "("]
+            else:
+                todo += [")", t.arg, "(", t.fun]
+        elif kind is Abs:
+            out.append(f"{lam}{t.binder.text}.")
+            todo.append(t.body)
+        else:
+            out.append(empty)
+    return "".join(out)

@@ -74,7 +74,12 @@ class QueueItem:
         return self._hash
 
     def __repr__(self):
-        return f"{self.category!r}({', '.join(map(repr, self.indices))})"
+        # a trace row renders its whole queue, so each item is rendered once
+        got = getattr(self, "_repr", None)
+        if got is None:
+            got = f"{self.category!r}({', '.join(map(repr, self.indices))})"
+            object.__setattr__(self, "_repr", got)
+        return got
 
 
 @dataclass(frozen=True)
@@ -253,7 +258,12 @@ class SemItem:
     index: NodeIndex
 
     def __repr__(self):
-        return f"⟨{render_term(self.term, unicode_lambda=True)}⟩({self.index!r})"
+        got = getattr(self, "_repr", None)
+        if got is None:
+            term = render_term(self.term, unicode_lambda=True)
+            got = f"⟨{term}⟩({self.index!r})"
+            object.__setattr__(self, "_repr", got)
+        return got
 
 
 @dataclass

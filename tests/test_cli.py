@@ -66,7 +66,8 @@ RECURSIVE_OLD = TABLE_ONE + "old\t::\t=n n\t\\x.old(x)\n"
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def mgumt_in_subprocess(*args: str, stdin: str | None = None):
+def mgumt_in_subprocess(*args: str, stdin: str | None = None,
+                        timeout: float = 10):
     """`mgumt` at the default budget, in its own process so that a search
     that does not end fails the test instead of hanging it."""
     env = {k: val for k, val in os.environ.items() if k != "UMT_BUDGET"}
@@ -74,7 +75,7 @@ def mgumt_in_subprocess(*args: str, stdin: str | None = None):
         filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "mgumt.cli", *args], input=stdin,
-        capture_output=True, text=True, timeout=10, env=env)
+        capture_output=True, text=True, timeout=timeout, env=env)
 
 
 def test_produce_recursive_modifier(tmp_path):
@@ -119,6 +120,17 @@ def test_derive_target_searches_each_meaning(tmp_path):
                                "--target", "the mouse cheese eats")
     assert done.returncode == 1, done.stderr
     assert done.stdout.strip() == "no complete derivation found"
+
+
+def test_default_budget_derive_ends(tmp_path):
+    # the closure merges a tree only with trees whose leading feature
+    # matches, so a recursive `old` runs out of budget in seconds
+    path = tmp_path / "old.mg"
+    path.write_text(RECURSIVE_OLD, encoding="utf-8")
+    done = mgumt_in_subprocess("derive", "--lexicon", str(path), timeout=30)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == (
+        "# note: derivation budget exhausted, results may be partial")
 
 
 def test_compile_rule_count(gold_path, capsys):

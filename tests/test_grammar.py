@@ -1,10 +1,11 @@
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import mgumt.grammar as grammar_module
-from mgumt.fixtures import table_one, teaching_gold
+from mgumt.fixtures import TABLE_ONE, TEACHING_GOLD, table_one, teaching_gold
 from mgumt.grammar import (
     DerivationTree, Expression, Feature, FeatureMismatch, Lexicon,
     LexiconError, NoRedex, Sign, SmcViolation, SyntacticType,
@@ -237,6 +238,36 @@ def test_budget_exhaustion_reported():
     lonely = complete_derivations(
         load_lexicon("a\t::\t=x c\tf\nb\t::\tx -q\tb\nq\t::\t=c +q c\teps\n"), 2)
     assert lonely.budget_exhausted
+
+
+RECURSIVE_OLD = TABLE_ONE + "old\t::\t=n n\t\\x.old(x)\n"
+CLOSURE_LEXICONS = [
+    TABLE_ONE, TEACHING_GOLD, RECURSIVE_OLD,
+    RECURSIVE_OLD + "old\t::\t=n n\t\\x.aged(x)\n",
+    TABLE_ONE + "that\t::\t=c n -k\t\\p.that(p)\nrat\t::\tn\trat\n",
+    TABLE_ONE + "old\t::\t=n n -k\t\\x.old(x)\n",
+]
+
+
+def closure_dump(text: str, budget: int) -> str:
+    search = complete_derivations(load_lexicon(text), budget)
+    lines = [repr(t.expression) for t in search.trees]
+    for tree in search.complete:
+        lines.append("complete")
+        lines += [f"{s.rule}\t{s.expression!r}" for s in tree.steps()]
+    lines.append(f"exhausted {search.budget_exhausted}")
+    return "\n".join(lines) + "\n"
+
+
+def test_closure_output_pinned():
+    # every tree, every complete derivation and the budget flag, as the
+    # closure gave them when it still tried every pair of trees
+    digest = hashlib.sha256()
+    for text in CLOSURE_LEXICONS:
+        for budget in (8, 12, 16):
+            digest.update(closure_dump(text, budget).encode())
+    assert digest.hexdigest() == (
+        "d82ddcd8dd98993e7f4ae4ac48f85ec56c203750512417052e77a5f0dbe6ad40")
 
 
 def test_closure_never_renders(monkeypatch):

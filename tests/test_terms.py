@@ -194,6 +194,18 @@ def test_render_parenthesizes_lambda_in_function_position():
     assert p(s) == t
 
 
+def test_render_deep_terms():
+    # meanings nest thousands deep; rendering keeps its own stack
+    t = v("mouse")
+    for _ in range(5_000):
+        t = App(v("old"), t)
+    assert render_term(t) == "old(" * 5_000 + "mouse" + ")" * 5_000
+    t = p("\\x.f(x)")
+    for _ in range(5_000):
+        t = App(t, v("a"))
+    assert render_term(t, unicode_lambda=True) == "(λx.f(x))" + "(a)" * 5_000
+
+
 def test_parse_error_has_position():
     with pytest.raises(TermSyntaxError):
         p("\\x.")
