@@ -55,7 +55,7 @@ def cmd_parse(args) -> int:
     print(result.render())
     if not result.accepted:
         print(f"reject\tposition {result.position}\t"
-              f"expected: {', '.join(sorted(result.expected)) or 'nothing'}")
+              f"expected: {', '.join(sorted(result.expected)) or 'end of input'}")
         return 1
     return 0
 

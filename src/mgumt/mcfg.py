@@ -104,6 +104,13 @@ class McfgRule:
                     for c in range(cat.arity)}
         if len(slots) != len(set(slots)) or set(slots) != expected:
             raise ValueError(f"non-linear variable use in {self!r}")
+        # per rhs component: the lhs component it lies in, and the digit it
+        # adds to that component's index (none for a lone variable)
+        plan = [[None] * cat.arity for cat in self.rhs]
+        for p, comp in enumerate(self.pattern):
+            for j, (r, c) in enumerate(comp):
+                plan[r][c] = (p, bytes((j,)) if len(comp) > 1 else b"")
+        object.__setattr__(self, "plan", tuple(map(tuple, plan)))
 
     @property
     def is_axiom(self):
@@ -138,7 +145,7 @@ def render_rule(rule: McfgRule) -> str:
 # --- node indices --------------------------------------------------------------
 
 @total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeIndex:
     """Tree address of the string material a prediction covers.
 
@@ -146,11 +153,20 @@ class NodeIndex:
     extensions), which sorts any tree's leaf addresses in surface order;
     on sibling-comparable addresses this agrees with the shorter-first,
     equal-length-lexicographic reading.
+
+    The digits are stored as `bytes` (a tuple of ints is converted), whose
+    order is the same dictionary order: copying, comparing and hashing an
+    address then run in C (`bytes` keeps its hash), so a parser step costs
+    about the same however deep the addresses grow.
     """
-    digits: tuple[int, ...] = ()
+    digits: bytes = b""
+
+    def __post_init__(self):
+        if type(self.digits) is not bytes:
+            object.__setattr__(self, "digits", bytes(self.digits))
 
     def child(self, j: int) -> "NodeIndex":
-        return NodeIndex(self.digits + (j,))
+        return NodeIndex(self.digits + bytes((j,)))
 
     def parent(self) -> "NodeIndex":
         return NodeIndex(self.digits[:-1])
@@ -177,15 +193,9 @@ def assign_child_indices(rule: McfgRule, parent_indices) -> list[tuple[NodeIndex
     if len(parent_indices) != rule.lhs.arity:
         raise ArityMismatch(
             f"{rule.lhs!r} has arity {rule.lhs.arity}, got {len(parent_indices)}")
-    where: dict[Slot, NodeIndex] = {}
-    for comp, parent in zip(rule.pattern, parent_indices):
-        if len(comp) == 1:
-            where[comp[0]] = parent
-        else:
-            for j, slot in enumerate(comp):
-                where[slot] = parent.child(j)
-    return [tuple(where[(r, c)] for c in range(cat.arity))
-            for r, cat in enumerate(rule.rhs)]
+    return [tuple(NodeIndex(parent_indices[p].digits + d) if d
+                  else parent_indices[p] for p, d in row)
+            for row in rule.plan]
 
 
 # --- compilation ----------------------------------------------------------------

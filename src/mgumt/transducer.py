@@ -6,7 +6,12 @@ enumerates the accepting paths depth first.  An expansion merges its
 predictions into the queue, which stays sorted, and the search skips every
 state (remaining input and queue) already explored without an accept; so
 one step of its budget is a scan or expansion into a new or live state,
-and only exponentially many accepting paths exhaust it.  The meaning of a
+and only exponentially many accepting paths exhaust it.  Node indices are
+byte strings, which compare, copy and hash as whole blocks, and a state's
+key carries its queue as a running sum of item hashes, updated for the
+items a step pops and pushes; so what a step costs grows neither with the
+length of its indices nor with a rehash of the queue, only with copying
+the queue.  The meaning of a
 path comes from a second queue, sorted in reverse index order, that holds
 every scanned sign's semantics: the path's expansions, replayed bottom-up,
 say which items combine; wherever a rule concatenates the selector's or
@@ -43,7 +48,7 @@ MAX_STEPS = 10_000
 
 class ParseRejected(Exception):
     def __init__(self, position: int, expected: frozenset[str]):
-        exp = ", ".join(sorted(expected)) or "nothing"
+        exp = ", ".join(sorted(expected)) or "end of input"
         super().__init__(f"rejected at token {position}; expected one of: {exp}")
         self.position = position
         self.expected = expected
@@ -57,17 +62,19 @@ class ParserBudget(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QueueItem:
     category: McfgCategory
     indices: tuple[NodeIndex, ...]
     # the digits of its smallest index: the item's place in the queue
-    order: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    order: bytes = field(init=False, repr=False, compare=False)
+    # the parser sums item hashes to key its dead states
+    _hash: int = field(init=False, repr=False, compare=False)
+    _repr: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         digits = [i.digits for i in self.indices]
         object.__setattr__(self, "order", min(digits))
-        # the parser hashes whole queues to recognise dead states
         object.__setattr__(self, "_hash", hash((self.category, *digits)))
 
     def __hash__(self):
@@ -82,7 +89,7 @@ class QueueItem:
         return got
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Step:
     op: str                     # expand | scan | sort | accept | apply | understand
     rule: McfgRule | None
@@ -115,18 +122,20 @@ class RecognizeResult:
 _order = attrgetter("order")
 
 
-def _merge(children: tuple, tail: tuple) -> tuple:
+def _merge(children: tuple, tail: tuple) -> tuple[tuple, bool]:
     """The queue after an expansion: what a stable sort of children + tail
-    by order gives, for a tail already in order.  Each child, in order, goes
-    before the first tail item that does not precede it."""
+    by order gives, for a tail already in order, and whether that differs
+    from children + tail.  Each child, in order, goes before the first tail
+    item that does not precede it."""
+    ordered = sorted(children, key=_order)
     queue = []
     done = 0
-    for child in sorted(children, key=_order):
+    for child in ordered:
         at = bisect_left(tail, child.order, done, key=_order)
         queue += tail[done:at]
         queue.append(child)
         done = at
-    return tuple(queue) + tail[done:]
+    return tuple(queue) + tail[done:], done > 0 or tuple(ordered) != children
 
 
 def _scan_tokens(axiom: McfgRule, input_toks, suffix_tokens):
@@ -134,21 +143,18 @@ def _scan_tokens(axiom: McfgRule, input_toks, suffix_tokens):
     may match a proper prefix of the next input token when the remainder is
     a suffix the grammar knows, splitting e.g. 'eats' into 'eat' + '-s'."""
     want = axiom.entry.exponent.split()
-    toks = list(input_toks)
+    if len(want) > len(input_toks):
+        return None
     for i, w in enumerate(want):
-        if not toks:
-            return None
-        head = toks[0]
+        head = input_toks[i]
         if head == w:
-            toks.pop(0)
             continue
         rest = head[len(w):]
         if (i == len(want) - 1 and head.startswith(w) and rest
                 and "-" + rest in suffix_tokens):
-            toks[0] = "-" + rest
-            return tuple(toks)
+            return ("-" + rest,) + input_toks[i + 1:]
         return None
-    return tuple(toks)
+    return input_toks[len(want):]
 
 
 def _parses(grammar: CompiledGrammar, utterance, max_steps: int):
@@ -173,37 +179,41 @@ def _parses(grammar: CompiledGrammar, utterance, max_steps: int):
     failed: dict[int, set[str]] = {}    # tokens consumed -> tokens expected
     steps: list[Step] = []
     # The remaining input is a suffix of toks but for its first token, which
-    # may be a split-off suffix; so its length and first token name it.
-    dead: set[tuple] = set()            # (len(left), left[:1], queue)
+    # may be a split-off suffix; so its length and first token name it.  The
+    # queue enters the key as the sum of its items' hashes, which a move
+    # updates for the items it pops and pushes; the queues under one key
+    # are compared in full.
+    dead: dict[tuple, list[tuple]] = {}  # (len(left), left[:1], sum) -> queues
     accepts = 0
-    # the states whose moves are on the stack: (state, stack height below
-    # its moves, accepts before them); each is an ancestor of the next
+    # the states whose moves are on the stack: (key, queue, stack height
+    # below its moves, accepts before them); each is an ancestor of the next
     open_states: list[tuple] = []
-    # a move not yet taken: (len(steps) before it, rule, input, queue,
-    # input after it); a start move only visits the start prediction
-    stack = [(0, None, toks, (QueueItem(start, (ROOT,)),), toks)
-             for start in reversed(grammar.start_categories)]
+    # a move not yet taken: (len(steps) before it, rule, input, queue, its
+    # hash sum, input after it); a start move only visits the start prediction
+    starts = [QueueItem(c, (ROOT,)) for c in reversed(grammar.start_categories)]
+    stack = [(0, None, toks, (item,), hash(item), toks) for item in starts]
     while stack:
-        while open_states and len(stack) <= open_states[-1][1]:
-            state, _, before = open_states.pop()
+        while open_states and len(stack) <= open_states[-1][2]:
+            key, queue, _, before = open_states.pop()
             if accepts == before:
-                dead.add(state)
-        n, rule, input_toks, queue, left = stack.pop()
+                dead.setdefault(key, []).append(queue)
+        n, rule, input_toks, queue, total, left = stack.pop()
         del steps[n:]
         if rule is not None and rule.is_axiom:
             steps.append(Step("scan", rule, input_toks, queue))
+            total -= hash(queue[0])
             queue = queue[1:]
         elif rule is not None:
             steps.append(Step("expand", rule, input_toks, queue))
+            head, tail = queue[0], queue[1:]
             children = tuple(QueueItem(cat, idx) for cat, idx in zip(
-                rule.rhs, assign_child_indices(rule, list(queue[0].indices))))
-            tail = queue[1:]
-            unsorted = children + tail
-            queue = _merge(children, tail)
-            if queue != unsorted:
-                steps.append(Step("sort", None, input_toks, unsorted))
-        state = (len(left), left[:1], queue)
-        if state in dead:
+                rule.rhs, assign_child_indices(rule, head.indices)))
+            queue, moved = _merge(children, tail)
+            if moved:
+                steps.append(Step("sort", None, input_toks, children + tail))
+            total += sum(map(hash, children)) - hash(head)
+        key = (len(left), left[:1], total)
+        if queue in dead.get(key, ()):
             continue
         if rule is not None:
             budget -= 1
@@ -230,10 +240,11 @@ def _parses(grammar: CompiledGrammar, utterance, max_steps: int):
                 failed.setdefault(consumed, set()).add(
                     axiom.entry.exponent or "ε")
             else:
-                moves.append((len(steps), axiom, left, queue, after))
-        moves += [(len(steps), r, left, queue, left) for r in expansions]
+                moves.append((len(steps), axiom, left, queue, total, after))
+        moves += [(len(steps), r, left, queue, total, left)
+                  for r in expansions]
         if moves:
-            open_states.append((state, len(stack), accepts))
+            open_states.append((key, queue, len(stack), accepts))
             stack += reversed(moves)
     position = max(failed, default=0)
     return position, frozenset(failed.get(position, ()))
@@ -292,6 +303,19 @@ def understand(grammar: CompiledGrammar, utterance,
     return UnderstandResult(meaning, steps, parse)
 
 
+def _below(queue: list[SemItem], digits: bytes) -> int:
+    """The first place in queue, sorted by descending index, whose index is
+    below digits."""
+    lo, hi = 0, len(queue)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if queue[mid].index.digits < digits:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def _compose(path: list[Step], max_steps: int) -> tuple[LambdaTerm, list[Step]]:
     """The meaning of an accepting path, and its semantic trace.
 
@@ -324,7 +348,8 @@ def _compose(path: list[Step], max_steps: int) -> tuple[LambdaTerm, list[Step]]:
             queue.pop()
             item = None
         held[id(st.queue[0])] = (item,)
-    ordered = tuple(sorted(queue, key=lambda it: it.index, reverse=True))
+    ordered = tuple(sorted(queue, key=lambda it: it.index.digits,
+                            reverse=True))
     if ordered != tuple(queue):
         steps.append(Step("sort", None, (), tuple(queue)))
     queue = list(ordered)
@@ -361,9 +386,12 @@ def _compose(path: list[Step], max_steps: int) -> tuple[LambdaTerm, list[Step]]:
                 continue
             steps.append(Step("apply", None, (), tuple(queue)))
             combined = _combine(f, a, max(f.index, a.index).parent())
-            queue[:] = [it for it in queue if it is not f and it is not a]
-            at = next((i for i, it in enumerate(queue)
-                       if it.index < combined.index), len(queue))
+            for gone in (f, a):
+                at = _below(queue, gone.index.digits) - 1
+                while queue[at] is not gone:
+                    at -= 1
+                del queue[at]
+            at = _below(queue, combined.index.digits)
             queue.insert(at, combined)
             comps.append(settle(at))
         held[id(st.queue[0])] = tuple(comps)

@@ -41,6 +41,17 @@ def test_parse_reject_exit_code(gold_path, capsys):
     assert "reject" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command,row", [
+    ("parse", "reject\tposition 4\texpected: end of input"),
+    ("understand", "reject\trejected at token 4; expected one of: end of input"),
+])
+def test_leftover_input_expects_end(command, row, gold_path, capsys):
+    # the deepest failure is a complete parse with a token left over
+    assert main([command, "--lexicon", gold_path,
+                 "--input", "the mouse eats cheese extra"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == row
+
+
 def test_understand_final_row(gold_path, capsys):
     assert main(["understand", "--lexicon", gold_path,
                  "--input", "the mouse eats cheese"]) == 0

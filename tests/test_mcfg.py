@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mgumt.fixtures import TABLE_ONE, TEACHING_GOLD, table_one
 from mgumt.grammar import (
@@ -138,6 +139,28 @@ def test_assign_child_indices_arity_checked(gold):
     rule = _rule(gold, "⟨:c⟩")
     with pytest.raises(ArityMismatch):
         assign_child_indices(rule, [ROOT, idx("1")])
+
+
+digit_tuples = st.lists(st.integers(0, 3), max_size=300).map(tuple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(digit_tuples, st.integers(0, 300), digit_tuples, st.integers(0, 3))
+def test_node_index_agrees_with_digit_tuples(a, cut, extra, j):
+    # the index algebra as it was defined on tuples of ints; b shares a
+    # prefix with a, so prefixes, extensions and equal pairs all occur
+    b = a[:cut] + extra[:cut % 5]
+    x, y = NodeIndex(a), NodeIndex(b)
+    assert (x < y, x <= y, x > y, x >= y) == (a < b, a <= b, a > b, a >= b)
+    assert (x == y) == (a == b)
+    assert hash(x) == hash(y) or a != b
+    assert hash(x) == hash(NodeIndex(a))
+    assert repr(x) == ("".join(str(d) for d in a) or "ε")
+    assert len(x) == len(a)
+    assert x.child(j) == NodeIndex(a + (j,))
+    if a:
+        assert x.parent() == NodeIndex(a[:-1])
+    assert sorted([x, y]) == [NodeIndex(d) for d in sorted([a, b])]
 
 
 # --- weak equivalence of engine and compiled grammar ----------------------------

@@ -102,6 +102,13 @@ def test_recognize_reject_position(gold):
     assert "mouse the eats cheese" not in enumerate_strings(gold, 20)
 
 
+def test_leftover_input_expects_end_of_input(gold):
+    r = recognize(gold, "the mouse eats cheese extra")
+    assert (r.accepted, r.position, r.expected) == (False, 4, frozenset())
+    with pytest.raises(ParseRejected, match="expected one of: end of input$"):
+        understand(gold, "the mouse eats cheese extra")
+
+
 def test_recognize_empty_string_grammar():
     g = compile_grammar(load_lexicon("eps\t::\tc\tmouse\n"))
     r = recognize(g, "")
@@ -449,6 +456,25 @@ def test_embedding_trace_unchanged():
     assert len(trace.splitlines()) == 231
     assert hashlib.sha256(trace.encode()).hexdigest() == (
         "fa0873e54b15b861a7dfa272cfc8c817ac3fb3650b296bb47f4e0a011983cb8e")
+
+
+def test_deep_traces_unchanged():
+    # everything a depth-60 embedding, its rejection and the homophones'
+    # readings print, as the parser gave it with tuple node indices
+    grammar = compile_grammar(load_lexicon(DERIVATION_CASES["embedding"][0]))
+    words = " ".join(["the rat eats that"] * 60 + ["the mouse eats cheese"])
+    understood = understand(grammar, words)
+    parts = [recognize(grammar, words).render(), understood.render(),
+             render_term(understood.meaning)]
+    with pytest.raises(ParseRejected) as rejected:
+        understand(grammar, words.replace("eats cheese", "cheese eats"))
+    parts.append(str(rejected.value))
+    for k in range(9):
+        got = all_meanings(HOMOPHONES, "the " + "old " * k + "mouse eats cheese")
+        parts.append(" | ".join(map(render_term, got)))
+    digest = hashlib.sha256("\n".join(parts).encode()).hexdigest()
+    assert digest == (
+        "c12673d093bef006b4418bad0bc2ccba69f29f23f98fc0bc3e98c13cf35a1fb4")
 
 
 # --- round trip -------------------------------------------------------------------
