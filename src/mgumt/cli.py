@@ -53,6 +53,10 @@ def cmd_parse(args) -> int:
     grammar = compile_grammar(_lexicon(args.lexicon))
     result = recognize(grammar, args.input)
     print(result.render())
+    if not grammar.start_categories:
+        empty = ParseRejected(0, frozenset(), grammar.lexicon.start_symbol)
+        print(f"reject\t{empty}")
+        return 1
     if not result.accepted:
         print(f"reject\tposition {result.position}\t"
               f"expected: {', '.join(sorted(result.expected)) or 'end of input'}")

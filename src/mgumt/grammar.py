@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass, field, replace as dc_replace
 
 from .terms import (
     LambdaTerm, alpha_canonical, apply, beta_step, constants, is_normal,
@@ -247,14 +247,17 @@ def reduce_step(a: Expression) -> Expression:
 class Lexicon:
     entries: tuple[Sign, ...]
     start_symbol: str = "c"
+    # each entry by its α-canonical key, in entry order
+    _keys: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        seen = set()
+        keys = {}
         for entry in self.entries:
             k = sign_key(entry)
-            if k in seen:
+            if k in keys:
                 raise LexiconError(f"duplicate entry {entry!r}")
-            seen.add(k)
+            keys[k] = entry
+        object.__setattr__(self, "_keys", keys)
 
     def __len__(self):
         return len(self.entries)
@@ -263,8 +266,7 @@ class Lexicon:
         return iter(self.entries)
 
     def contains(self, sign: Sign) -> bool:
-        key = sign_key(sign)
-        return any(sign_key(e) == key for e in self.entries)
+        return sign_key(sign) in self._keys
 
     def with_entry(self, sign: Sign) -> "Lexicon":
         if self.contains(sign):
@@ -273,7 +275,7 @@ class Lexicon:
 
     def without(self, signs) -> "Lexicon":
         drop = {sign_key(s) for s in signs}
-        kept = tuple(e for e in self.entries if sign_key(e) not in drop)
+        kept = tuple(e for k, e in self._keys.items() if k not in drop)
         return Lexicon(kept, self.start_symbol)
 
 

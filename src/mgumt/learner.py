@@ -628,7 +628,7 @@ def ingest(state: LearnerState, ump: UMP) -> LearnerState:
     while not state.derivable(ump) and progress and rounds < 25:
         progress = False
         rounds += 1
-        before = {sign_key(e) for e in state.lexicon.entries}
+        before = state.lexicon._keys.keys()
         for al in _candidate_alignments(state, ump):
             if al.key() in state.blacklist:
                 continue
@@ -636,7 +636,7 @@ def ingest(state: LearnerState, ump: UMP) -> LearnerState:
             note = _stage_factor(staged, al)
             if note is None:
                 continue
-            if {sign_key(e) for e in staged.lexicon.entries} == before:
+            if staged.lexicon._keys.keys() == before:
                 state.blacklist.add(al.key())
                 continue
             if _apply_gate(state, staged, al, note):

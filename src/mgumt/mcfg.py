@@ -95,9 +95,13 @@ class McfgRule:
     entry: Sign | None = None               # axioms only
 
     def __post_init__(self):
-        if self.provenance == AXIOM:
+        # the parser asks at every move
+        object.__setattr__(self, "is_axiom", self.provenance == AXIOM)
+        if self.is_axiom:
             if self.rhs or self.entry is None:
                 raise ValueError("an axiom has no rhs and carries its entry")
+            # the tokens a scan of the axiom consumes
+            object.__setattr__(self, "tokens", tuple(self.entry.exponent.split()))
             return
         slots = [s for comp in self.pattern for s in comp]
         expected = {(r, c) for r, cat in enumerate(self.rhs)
@@ -111,10 +115,6 @@ class McfgRule:
             for j, (r, c) in enumerate(comp):
                 plan[r][c] = (p, bytes((j,)) if len(comp) > 1 else b"")
         object.__setattr__(self, "plan", tuple(map(tuple, plan)))
-
-    @property
-    def is_axiom(self):
-        return self.provenance == AXIOM
 
     def var_names(self) -> dict[Slot, str]:
         names = {}
@@ -166,10 +166,10 @@ class NodeIndex:
             object.__setattr__(self, "digits", bytes(self.digits))
 
     def child(self, j: int) -> "NodeIndex":
-        return NodeIndex(self.digits + bytes((j,)))
+        return _index(self.digits + bytes((j,)))
 
     def parent(self) -> "NodeIndex":
-        return NodeIndex(self.digits[:-1])
+        return _index(self.digits[:-1])
 
     def __len__(self):
         return len(self.digits)
@@ -182,6 +182,15 @@ class NodeIndex:
 
 
 ROOT = NodeIndex()
+_new_index = object.__new__
+_set_digits = NodeIndex.digits.__set__
+
+
+def _index(digits: bytes) -> NodeIndex:
+    """NodeIndex(digits) for digits already bytes, without the checks."""
+    index = _new_index(NodeIndex)
+    _set_digits(index, digits)
+    return index
 
 
 def assign_child_indices(rule: McfgRule, parent_indices) -> list[tuple[NodeIndex, ...]]:
@@ -190,11 +199,11 @@ def assign_child_indices(rule: McfgRule, parent_indices) -> list[tuple[NodeIndex
     A component concatenating k>=2 variables extends its index with the
     variable's position; a lone variable inherits the index unchanged.
     """
-    if len(parent_indices) != rule.lhs.arity:
+    if len(parent_indices) != len(rule.lhs.components):
         raise ArityMismatch(
             f"{rule.lhs!r} has arity {rule.lhs.arity}, got {len(parent_indices)}")
-    return [tuple(NodeIndex(parent_indices[p].digits + d) if d
-                  else parent_indices[p] for p, d in row)
+    return [tuple([_index(parent_indices[p].digits + d) if d
+                   else parent_indices[p] for p, d in row])
             for row in rule.plan]
 
 
@@ -215,8 +224,7 @@ class CompiledGrammar:
         # the suffix tokens ("-s") the axioms spell, which a scan may split
         # off the end of an input token
         self.suffix_tokens = {t for r in self.rules if r.is_axiom
-                              for t in r.entry.exponent.split()
-                              if t.startswith("-")}
+                              for t in r.tokens if t.startswith("-")}
 
     def expansions(self, cat: McfgCategory) -> list[McfgRule]:
         """The non-axiom rules for cat, in grammar order; not to be changed."""

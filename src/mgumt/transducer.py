@@ -11,16 +11,23 @@ byte strings, which compare, copy and hash as whole blocks, and a state's
 key carries its queue as a running sum of item hashes, updated for the
 items a step pops and pushes; so what a step costs grows neither with the
 length of its indices nor with a rehash of the queue, only with copying
-the queue.  The meaning of a
-path comes from a second queue, sorted in reverse index order, that holds
-every scanned sign's semantics: the path's expansions, replayed bottom-up,
-say which items combine; wherever a rule concatenates the selector's or
-licensor's string with another, lambda application puts their meanings
-together, as merge and move do in the derivation engine.  `understand`
-composes the first path, `all_meanings` every one.  Production searches
-the derivation engine for the first complete derivation realizing a
-logical form, building only expressions whose constants fit within the
-logical form's (generation directed by the logical form).
+the queue.
+
+The meaning of a path comes from a second queue, sorted in reverse index
+order, that holds every scanned sign's semantics: the path's expansions,
+replayed bottom-up, say which items combine; wherever a rule concatenates
+the selector's or licensor's string with another, lambda application puts
+their meanings together, as merge and move do in the derivation engine.
+The meaning is one fold over the path, which keeps no queue and records
+only its deltas (items pushed, combined and contracted); the semantic
+trace is rebuilt from those deltas the first time it is read, so a caller
+that wants the meaning alone never pays for the rows.  `understand`
+composes the first path, `all_meanings` every one.
+
+Production searches the derivation engine for the first complete
+derivation realizing a logical form, building only expressions whose
+constants fit within the logical form's (generation directed by the
+logical form).
 """
 
 from __future__ import annotations
@@ -28,7 +35,10 @@ from __future__ import annotations
 import logging
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import pairwise
 from operator import attrgetter
+from typing import NamedTuple
 
 from .grammar import Lexicon, complete_derivations
 from .mcfg import (
@@ -47,11 +57,19 @@ MAX_STEPS = 10_000
 
 
 class ParseRejected(Exception):
-    def __init__(self, position: int, expected: frozenset[str]):
-        exp = ", ".join(sorted(expected)) or "end of input"
-        super().__init__(f"rejected at token {position}; expected one of: {exp}")
+    def __init__(self, position: int, expected: frozenset[str],
+                 start: str | None = None):
+        """`start` names the start symbol when the grammar derives no
+        sentence at all, which no position or expected token can say."""
+        if start is None:
+            exp = ", ".join(sorted(expected)) or "end of input"
+            message = f"rejected at token {position}; expected one of: {exp}"
+        else:
+            message = f"the lexicon derives no sentence of category {start}"
+        super().__init__(message)
         self.position = position
         self.expected = expected
+        self.start = start
 
 
 class Unrealizable(Exception):
@@ -62,35 +80,43 @@ class ParserBudget(Exception):
     pass
 
 
-@dataclass(frozen=True, slots=True)
 class QueueItem:
-    category: McfgCategory
-    indices: tuple[NodeIndex, ...]
-    # the digits of its smallest index: the item's place in the queue
-    order: bytes = field(init=False, repr=False, compare=False)
-    # the parser sums item hashes to key its dead states
-    _hash: int = field(init=False, repr=False, compare=False)
-    _repr: str = field(init=False, repr=False, compare=False)
+    """A predicted category with the node indices of its components."""
+    __slots__ = ("category", "indices", "order", "_hash", "_repr")
 
-    def __post_init__(self):
-        digits = [i.digits for i in self.indices]
-        object.__setattr__(self, "order", min(digits))
-        object.__setattr__(self, "_hash", hash((self.category, *digits)))
+    def __init__(self, category: McfgCategory, indices: tuple[NodeIndex, ...]):
+        self.category = category
+        self.indices = indices
+        # the digits of its smallest index are the item's place in the
+        # queue, and the parser sums item hashes to key its dead states;
+        # most items have one component, which needs no list
+        if len(indices) == 1:
+            digits = indices[0].digits
+            self.order = digits
+            self._hash = hash((category, digits))
+        else:
+            digits = [i.digits for i in indices]
+            self.order = min(digits)
+            self._hash = hash((category, *digits))
+        self._repr = None
+
+    def __eq__(self, other):
+        if type(other) is not QueueItem:
+            return NotImplemented
+        return self.category == other.category and self.indices == other.indices
 
     def __hash__(self):
         return self._hash
 
     def __repr__(self):
         # a trace row renders its whole queue, so each item is rendered once
-        got = getattr(self, "_repr", None)
-        if got is None:
-            got = f"{self.category!r}({', '.join(map(repr, self.indices))})"
-            object.__setattr__(self, "_repr", got)
-        return got
+        if self._repr is None:
+            self._repr = (f"{self.category!r}"
+                          f"({', '.join(map(repr, self.indices))})")
+        return self._repr
 
 
-@dataclass(frozen=True, slots=True)
-class Step:
+class Step(NamedTuple):
     op: str                     # expand | scan | sort | accept | apply | understand
     rule: McfgRule | None
     input: tuple[str, ...]
@@ -142,7 +168,7 @@ def _scan_tokens(axiom: McfgRule, input_toks, suffix_tokens):
     """Consume the axiom's exponent from the input front.  The final token
     may match a proper prefix of the next input token when the remainder is
     a suffix the grammar knows, splitting e.g. 'eats' into 'eat' + '-s'."""
-    want = axiom.entry.exponent.split()
+    want = axiom.tokens
     if len(want) > len(input_toks):
         return None
     for i, w in enumerate(want):
@@ -175,6 +201,8 @@ def _parses(grammar: CompiledGrammar, utterance, max_steps: int):
     out of steps.
     """
     toks = tuple(utterance.split() if isinstance(utterance, str) else utterance)
+    length = len(toks)
+    suffix_tokens = grammar.suffix_tokens
     budget = max_steps
     failed: dict[int, set[str]] = {}    # tokens consumed -> tokens expected
     steps: list[Step] = []
@@ -191,7 +219,7 @@ def _parses(grammar: CompiledGrammar, utterance, max_steps: int):
     # a move not yet taken: (len(steps) before it, rule, input, queue, its
     # hash sum, input after it); a start move only visits the start prediction
     starts = [QueueItem(c, (ROOT,)) for c in reversed(grammar.start_categories)]
-    stack = [(0, None, toks, (item,), hash(item), toks) for item in starts]
+    stack = [(0, None, toks, (item,), item._hash, toks) for item in starts]
     while stack:
         while open_states and len(stack) <= open_states[-1][2]:
             key, queue, _, before = open_states.pop()
@@ -201,17 +229,17 @@ def _parses(grammar: CompiledGrammar, utterance, max_steps: int):
         del steps[n:]
         if rule is not None and rule.is_axiom:
             steps.append(Step("scan", rule, input_toks, queue))
-            total -= hash(queue[0])
+            total -= queue[0]._hash
             queue = queue[1:]
         elif rule is not None:
             steps.append(Step("expand", rule, input_toks, queue))
             head, tail = queue[0], queue[1:]
-            children = tuple(QueueItem(cat, idx) for cat, idx in zip(
-                rule.rhs, assign_child_indices(rule, head.indices)))
+            children = tuple(map(QueueItem, rule.rhs,
+                                 assign_child_indices(rule, head.indices)))
             queue, moved = _merge(children, tail)
             if moved:
                 steps.append(Step("sort", None, input_toks, children + tail))
-            total += sum(map(hash, children)) - hash(head)
+            total += sum([c._hash for c in children]) - head._hash
         key = (len(left), left[:1], total)
         if queue in dead.get(key, ()):
             continue
@@ -219,7 +247,7 @@ def _parses(grammar: CompiledGrammar, utterance, max_steps: int):
             budget -= 1
         if budget <= 0:
             raise ParserBudget(f"no parse within {max_steps} steps")
-        consumed = len(toks) - len(left)
+        consumed = length - len(left)
         if not queue:
             if left:
                 failed.setdefault(consumed, set())
@@ -234,15 +262,15 @@ def _parses(grammar: CompiledGrammar, utterance, max_steps: int):
         if not axioms and not expansions:
             failed.setdefault(consumed, set())
         moves = []
+        here = len(steps)
         for axiom in axioms:
-            after = _scan_tokens(axiom, left, grammar.suffix_tokens)
+            after = _scan_tokens(axiom, left, suffix_tokens)
             if after is None:
                 failed.setdefault(consumed, set()).add(
                     axiom.entry.exponent or "ε")
             else:
-                moves.append((len(steps), axiom, left, queue, total, after))
-        moves += [(len(steps), r, left, queue, total, left)
-                  for r in expansions]
+                moves.append((here, axiom, left, queue, total, after))
+        moves += [(here, r, left, queue, total, left) for r in expansions]
         if moves:
             open_states.append((key, queue, len(stack), accepts))
             stack += reversed(moves)
@@ -263,34 +291,36 @@ def recognize(grammar: CompiledGrammar, utterance,
 
 # --- semantic queue -------------------------------------------------------------
 
-@dataclass(frozen=True)
 class SemItem:
-    term: LambdaTerm
-    index: NodeIndex
+    """A meaning on the semantic queue, with the node index it stands at."""
+    __slots__ = ("term", "index", "_repr")
+
+    def __init__(self, term: LambdaTerm, index: NodeIndex):
+        self.term = term
+        self.index = index
+        self._repr = None
 
     def __repr__(self):
-        got = getattr(self, "_repr", None)
-        if got is None:
+        if self._repr is None:
             term = render_term(self.term, unicode_lambda=True)
-            got = f"⟨{term}⟩({self.index!r})"
-            object.__setattr__(self, "_repr", got)
-        return got
+            self._repr = f"⟨{term}⟩({self.index!r})"
+        return self._repr
 
 
 @dataclass
 class UnderstandResult:
     meaning: LambdaTerm
-    steps: list[Step]          # semantic trace
     parse: RecognizeResult
+    # what the composition did to the semantic queue (see `_compose`)
+    deltas: list[tuple] = field(repr=False)
+
+    @cached_property
+    def steps(self) -> list[Step]:
+        """The semantic trace, rebuilt from the deltas on first read."""
+        return _semantic_rows(self.parse.steps, self.deltas)
 
     def render(self) -> str:
         return "\n".join(f"{i}\t{s.render()}" for i, s in enumerate(self.steps, 1))
-
-
-def _combine(f: SemItem, a: SemItem, result_index: NodeIndex) -> SemItem:
-    term = App(f.term, a.term)
-    stepped = beta_step(term)
-    return SemItem(stepped if stepped is not None else term, result_index)
 
 
 def understand(grammar: CompiledGrammar, utterance,
@@ -298,9 +328,78 @@ def understand(grammar: CompiledGrammar, utterance,
     """Parse, then compose the meaning along the accepted derivation."""
     parse = recognize(grammar, utterance, max_steps)
     if not parse.accepted:
-        raise ParseRejected(parse.position, parse.expected)
-    meaning, steps = _compose(parse.steps, max_steps)
-    return UnderstandResult(meaning, steps, parse)
+        raise ParseRejected(parse.position, parse.expected,
+                            None if grammar.start_categories
+                            else grammar.lexicon.start_symbol)
+    meaning, deltas = _compose(parse.steps, max_steps)
+    return UnderstandResult(meaning, parse, deltas)
+
+
+def _compose(path: list[Step], max_steps: int) -> tuple[LambdaTerm, list[tuple]]:
+    """The meaning of an accepting path, and the deltas of its semantic
+    queue.
+
+    Every scan pushes its sign's semantics with the scanned node's index;
+    an empty item vanishes by identity application as soon as it is pushed.
+    The accepted expansions, replayed bottom-up, say which items combine: a
+    rule component that concatenates two slots applies the selector's or
+    licensor's item (slot (0, 0)) to the other one, as merge and move do,
+    and the combined item takes the parent of the deeper index; a
+    single-slot component passes its item through, so a merge-3 or move-2
+    chain keeps its meaning until it lands.  Redexes left in a combined
+    item, or in the final one, are contracted one β-step at a time.
+
+    The meaning needs no queue, so none is kept: the deltas record each
+    item pushed ("push", item; in reverse path order), each combination
+    ("combine", function, argument, result) and each contraction
+    ("replace", item, contracted), and `_semantic_rows` replays them.
+    """
+    deltas: list[tuple] = []
+    # each prediction's semantic item per component (None where empty), keyed
+    # by id(): cheaper than hashing a QueueItem, and the path keeps them
+    held: dict[int, tuple[SemItem | None, ...]] = {}
+    budget = max_steps
+
+    def settle(item: SemItem) -> SemItem:
+        nonlocal budget
+        while (reduced := beta_step(item.term)) is not None:
+            budget -= 1
+            if budget <= 0:
+                raise NonTerminating("semantic queue did not settle")
+            contracted = SemItem(reduced, item.index)
+            deltas.append(("replace", item, contracted))
+            item = contracted
+        return item
+
+    # a prediction is expanded or scanned after the expansion that made it,
+    # so the reversed path reaches every expansion after its children
+    for after, st in pairwise(reversed(path)):
+        if st.op == "scan":
+            item = SemItem(st.rule.entry.semantics, st.queue[0].indices[0])
+            deltas.append(("push", item))
+            held[id(st.queue[0])] = (None if item.term is EMPTY else item,)
+        elif st.op == "expand":
+            children = [held.pop(id(c)) for c in after.queue[:len(st.rule.rhs)]]
+            comps = []
+            for comp in st.rule.pattern:
+                if len(comp) == 1:
+                    (r, c), = comp
+                    comps.append(children[r][c])
+                    continue
+                r, c = comp[1] if comp[0] == (0, 0) else comp[0]
+                f, a = children[0][0], children[r][c]
+                if f is None or a is None:
+                    comps.append(a if f is None else f)
+                    continue
+                term = App(f.term, a.term)
+                stepped = beta_step(term)
+                combined = SemItem(term if stepped is None else stepped,
+                                   max(f.index, a.index).parent())
+                deltas.append(("combine", f, a, combined))
+                comps.append(settle(combined))
+            held[id(st.queue[0])] = tuple(comps)
+    (root,) = held[id(path[0].queue[0])]
+    return (EMPTY if root is None else settle(root).term), deltas
 
 
 def _below(queue: list[SemItem], digits: bytes) -> int:
@@ -316,90 +415,48 @@ def _below(queue: list[SemItem], digits: bytes) -> int:
     return lo
 
 
-def _compose(path: list[Step], max_steps: int) -> tuple[LambdaTerm, list[Step]]:
-    """The meaning of an accepting path, and its semantic trace.
-
-    Scans push their sign's semantics with the scanned node's index; empty
-    items vanish by identity application as soon as they are pushed.  The
-    queue is then sorted once in descending index order, and the accepted
-    expansions are replayed bottom-up: a rule component that concatenates
-    two slots applies the selector's or licensor's item (slot (0, 0)) to
-    the other one, as merge and move do, and the combined item takes the
-    parent of the deeper index; a single-slot component passes its item
-    through, so a merge-3 or move-2 chain keeps its meaning until it lands.
-    Redexes left in a combined item, or in the final one, are contracted in
-    place.
-    """
-    steps: list[Step] = []
+def _semantic_rows(path: list[Step], deltas: list[tuple]) -> list[Step]:
+    """The semantic trace of an accepting path: `_compose`'s deltas replayed
+    on the queue, each row showing the queue before its change.  The scans
+    push in path order, then the queue is sorted once in descending index
+    order; every combination and contraction is an apply row."""
+    rows: list[Step] = []
     queue: list[SemItem] = []
-    # each prediction's semantic item per component (None where empty), keyed
-    # by id(): cheaper than hashing a QueueItem, and the path keeps them
-    held: dict[int, tuple[SemItem | None, ...]] = {}
-    # replay scans in accepted order; scanned items keep their syntactic index
-    pairs = list(zip(path, path[1:]))
-    for st, after in pairs:
+    pushed = [d[1] for d in deltas if d[0] == "push"]
+    for st, after in zip(path, path[1:]):
         if st.op != "scan":
             continue
-        steps.append(Step("scan", st.rule, st.input, tuple(queue)))
-        item = SemItem(st.rule.entry.semantics, st.queue[0].indices[0])
+        rows.append(Step("scan", st.rule, st.input, tuple(queue)))
+        item = pushed.pop()
         queue.append(item)
         if item.term is EMPTY:
-            steps.append(Step("apply", None, after.input, tuple(queue)))
+            rows.append(Step("apply", None, after.input, tuple(queue)))
             queue.pop()
-            item = None
-        held[id(st.queue[0])] = (item,)
-    ordered = tuple(sorted(queue, key=lambda it: it.index.digits,
-                            reverse=True))
-    if ordered != tuple(queue):
-        steps.append(Step("sort", None, (), tuple(queue)))
-    queue = list(ordered)
-    budget = max_steps
+    ordered = sorted(queue, key=lambda it: it.index.digits, reverse=True)
+    if ordered != queue:
+        rows.append(Step("sort", None, (), tuple(queue)))
+    queue = ordered
 
-    def settle(at: int) -> SemItem:
-        """Contract the redexes left in queue[at], one apply step each."""
-        nonlocal budget
-        item = queue[at]
-        while (reduced := beta_step(item.term)) is not None:
-            budget -= 1
-            if budget <= 0:
-                raise NonTerminating("semantic queue did not settle")
-            steps.append(Step("apply", None, (), tuple(queue)))
-            item = queue[at] = SemItem(reduced, item.index)
-        return item
+    def find(item: SemItem) -> int:
+        at = _below(queue, item.index.digits) - 1
+        while queue[at] is not item:
+            at -= 1
+        return at
 
-    # children are predicted after their parent, so the reversed trace
-    # reaches every expansion after its children's
-    for st, after in reversed(pairs):
-        if st.op != "expand":
+    for kind, *items in deltas:
+        if kind == "push":
             continue
-        children = [held.pop(id(c)) for c in after.queue[:len(st.rule.rhs)]]
-        comps = []
-        for comp in st.rule.pattern:
-            if len(comp) == 1:
-                (r, c), = comp
-                comps.append(children[r][c])
-                continue
-            r, c = comp[1] if comp[0] == (0, 0) else comp[0]
-            f, a = children[0][0], children[r][c]
-            if f is None or a is None:
-                comps.append(a if f is None else f)
-                continue
-            steps.append(Step("apply", None, (), tuple(queue)))
-            combined = _combine(f, a, max(f.index, a.index).parent())
-            for gone in (f, a):
-                at = _below(queue, gone.index.digits) - 1
-                while queue[at] is not gone:
-                    at -= 1
-                del queue[at]
-            at = _below(queue, combined.index.digits)
-            queue.insert(at, combined)
-            comps.append(settle(at))
-        held[id(st.queue[0])] = tuple(comps)
-    (root,) = held[id(path[0].queue[0])]
-    if root is not None:
-        root = settle(0)
-    steps.append(Step("understand", None, (), tuple(queue)))
-    return EMPTY if root is None else root.term, steps
+        rows.append(Step("apply", None, (), tuple(queue)))
+        if kind == "combine":
+            f, a, combined = items
+            del queue[find(f)]
+            del queue[find(a)]
+            queue.insert(_below(queue, combined.index.digits), combined)
+        else:
+            old, contracted = items
+            queue[find(old)] = contracted
+    rows.append(Step("understand", None, (), tuple(queue)))
+    return rows
 
 
 # --- production -----------------------------------------------------------------
@@ -448,7 +505,7 @@ def all_meanings(grammar: CompiledGrammar, utterance) -> list[LambdaTerm]:
     fool them."""
     meanings: dict[LambdaTerm, LambdaTerm] = {}
     for path in _parses(grammar, utterance, MAX_STEPS):
-        meaning, _ = _compose(path, MAX_STEPS)
+        meaning, _deltas = _compose(path, MAX_STEPS)
         meanings.setdefault(alpha_canonical(meaning), meaning)
     return list(meanings.values())
 

@@ -1,7 +1,8 @@
 """Layer micro-benchmarks of the transducer: `recognize` and the semantic
-queue (`understand`) on clause embeddings of growing depth, and the
-rejection of a long homophone sentence.  The suite does not collect this
-file; run it on its own:
+queue (`understand`) on clause embeddings of growing depth, the meaning
+alone against the rebuilt semantic trace, every reading of a homophone
+sentence, and the rejection of a long one.  The suite does not collect
+this file; run it on its own:
 
     PYTHONPATH=src python -m pytest tests/bench_transducer.py
 """
@@ -11,7 +12,7 @@ import pytest
 from mgumt.fixtures import TABLE_ONE
 from mgumt.grammar import load_lexicon
 from mgumt.mcfg import compile_grammar
-from mgumt.transducer import ParseRejected, recognize, understand
+from mgumt.transducer import ParseRejected, all_meanings, recognize, understand
 
 EMBEDDING = compile_grammar(load_lexicon(
     TABLE_ONE + "that\t::\t=c n -k\t\\p.that(p)\nrat\t::\tn\trat\n"))
@@ -32,6 +33,24 @@ def test_recognize_embedding(benchmark, depth):
 def test_understand_embedding(benchmark, depth):
     got = benchmark(understand, EMBEDDING, embedded(depth))
     assert got.parse.accepted
+
+
+@pytest.mark.parametrize("depth", [40, 160])
+def test_understand_meaning_only(benchmark, depth):
+    # the fold alone: no semantic row is built
+    benchmark(lambda: understand(EMBEDDING, embedded(depth)).meaning)
+
+
+@pytest.mark.parametrize("depth", [40, 160])
+def test_understand_render(benchmark, depth):
+    # the fold, then every semantic row rebuilt and rendered
+    benchmark(lambda: understand(EMBEDDING, embedded(depth)).render())
+
+
+def test_all_meanings_old8(benchmark):
+    got = benchmark(all_meanings, HOMOPHONES,
+                    "the " + "old " * 8 + "mouse eats cheese")
+    assert len(got) == 256
 
 
 def test_understand_rejects_old20(benchmark):

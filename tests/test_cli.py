@@ -232,6 +232,18 @@ def test_homophone_rejection_answers(command, row, tmp_path):
     assert done.stdout.splitlines()[-1] == row
 
 
+@pytest.mark.parametrize("command", ["parse", "understand"])
+def test_empty_language_rejection(command, tmp_path):
+    # nothing derives c, which is not a leftover token at position 0
+    path = tmp_path / "lex.mg"
+    path.write_text("mouse\t::\tn\tmouse\n", encoding="utf-8")
+    done = mgumt_in_subprocess(command, "--lexicon", str(path),
+                               "--input", "mouse")
+    assert (done.returncode, done.stderr) == (1, "")
+    assert done.stdout.splitlines()[-1] == (
+        "reject\tthe lexicon derives no sentence of category c")
+
+
 def test_understand_constant_semantics(tmp_path, capsys):
     # a head whose semantics is a constant still composes along the parse
     path = tmp_path / "lex.mg"

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from mgumt.fixtures import TABLE_ONE, table_one, teaching_gold
 from mgumt.grammar import LexiconError, complete_derivations, load_lexicon
+from mgumt import transducer
 from mgumt.learner import LearnerState
 from mgumt.mcfg import assign_child_indices, compile_grammar, enumerate_strings
 from mgumt.terms import (
@@ -107,6 +108,15 @@ def test_leftover_input_expects_end_of_input(gold):
     assert (r.accepted, r.position, r.expected) == (False, 4, frozenset())
     with pytest.raises(ParseRejected, match="expected one of: end of input$"):
         understand(gold, "the mouse eats cheese extra")
+
+
+def test_empty_language_names_the_start_symbol():
+    # nothing derives c: no position or expected token says why it rejects
+    grammar = compile_grammar(load_lexicon("mouse\t::\tn\tmouse\n"))
+    assert grammar.start_categories == []
+    with pytest.raises(ParseRejected,
+                       match="^the lexicon derives no sentence of category c$"):
+        understand(grammar, "mouse")
 
 
 def test_recognize_empty_string_grammar():
@@ -456,6 +466,33 @@ def test_embedding_trace_unchanged():
     assert len(trace.splitlines()) == 231
     assert hashlib.sha256(trace.encode()).hexdigest() == (
         "fa0873e54b15b861a7dfa272cfc8c817ac3fb3650b296bb47f4e0a011983cb8e")
+
+
+def test_semantic_rows_are_built_when_read(gold, monkeypatch):
+    # the meanings come from the fold alone; the rows wait for a reader, and
+    # then are the ones the semantic queue gave when it kept every row
+    def refuse(*_args):
+        raise AssertionError("semantic rows built")
+
+    real = transducer._semantic_rows
+    monkeypatch.setattr(transducer, "_semantic_rows", refuse)
+    grammar = compile_grammar(load_lexicon(DERIVATION_CASES["embedding"][0]))
+    deep = understand(grammar, " ".join(["the rat eats that"] * 60
+                                        + ["the mouse eats cheese"]))
+    assert render_term(deep.meaning).count("that(") == 60
+    short = understand(gold, "the mouse eats cheese")
+    assert render_term(short.meaning) == "eat(cheese)(mouse)"
+    assert len(all_meanings(HOMOPHONES, "the old old mouse eats cheese")) == 4
+    monkeypatch.setattr(transducer, "_semantic_rows", real)
+    assert short.steps is short.steps
+    for understood, rows, digest in [
+            (deep, 916, "7bcf3c85d4ba7534ddf3ed67746102151"
+                        "ba80903b96cd68dd7ee1bf42b9bc686"),
+            (short, 16, "dc710f955a37758ea8eee9182d24e73ab"
+                        "ee6000de7e23e10a25c72183dfd585e")]:
+        trace = understood.render()
+        assert len(trace.splitlines()) == rows
+        assert hashlib.sha256(trace.encode()).hexdigest() == digest
 
 
 def test_deep_traces_unchanged():
