@@ -269,14 +269,23 @@ class Lexicon:
         return sign_key(sign) in self._keys
 
     def with_entry(self, sign: Sign) -> "Lexicon":
-        if self.contains(sign):
+        k = sign_key(sign)
+        if k in self._keys:
             return self
-        return Lexicon(self.entries + (sign,), self.start_symbol)
+        return self._keyed({**self._keys, k: sign})
 
     def without(self, signs) -> "Lexicon":
         drop = {sign_key(s) for s in signs}
-        kept = tuple(e for k, e in self._keys.items() if k not in drop)
-        return Lexicon(kept, self.start_symbol)
+        return self._keyed({k: e for k, e in self._keys.items() if k not in drop})
+
+    def _keyed(self, keys: dict) -> "Lexicon":
+        """The lexicon of keys' entries, in order, with this start symbol:
+        the entries keep the keys they already have."""
+        lex = object.__new__(Lexicon)
+        object.__setattr__(lex, "entries", tuple(keys.values()))
+        object.__setattr__(lex, "start_symbol", self.start_symbol)
+        object.__setattr__(lex, "_keys", keys)
+        return lex
 
 
 def parse_lexicon_line(line: str) -> Sign:
@@ -422,7 +431,7 @@ def complete_derivations(lex: Lexicon,
     tree found for an expression is minimal.  `complete` keeps the first
     complete tree per (exponent, α-canonical meaning), in the order popped.
     `produce`, `mgumt derive` and the learner's slot analogy use it; whether
-    an utterance has a meaning is the parser's question (`all_meanings`).
+    an utterance has a meaning is the parser's question (`match_meaning`).
 
     Processed trees are indexed by their head's leading feature (the agenda
     index of Harkema 2001 and Stabler 2013): a popped tree led by `=f` is

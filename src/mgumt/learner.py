@@ -10,7 +10,10 @@ unknown tokens analogous to known entries (shared character prefix, or the
 position carrying the semantic residue) receive copied entries.  Every
 revision must keep all previously endorsed pairs derivable, otherwise it is
 rolled back; as with the teacher, a pair derives when the parser gives the
-utterance that meaning, with each lexicon compiled to an MCFG once.
+utterance that meaning, with each lexicon compiled to an MCFG once.  A
+pair's last parse is kept as a witness (the entries it scanned), and a
+revision that keeps all of them cannot lose the pair, so only the pairs
+whose witness lost an entry are parsed again.
 
 Punishment triggers lexicon repair: the morpheme split extracts a suffix
 paradigm (rat/rats) into a movement-licensed number layer, and suppletion
@@ -33,7 +36,7 @@ from .terms import (
     VariableName, abstract, all_names, alpha_canonical, alpha_equivalent,
     beta_reduce, free_vars, render_term, substitute, subterms, var_name,
 )
-from .transducer import UMP, ProduceResult, all_meanings, produce
+from .transducer import UMP, ProduceResult, match_meaning, produce
 
 MIN_STEM_CHARS = 3      # character-phase alignment threshold
 
@@ -220,8 +223,13 @@ class LearnerState:
     paradigms: list[ParadigmRecord] = field(default_factory=list)
     revisions: list[str] = field(default_factory=list)
     blacklist: set = field(default_factory=set)
-    # the grammar `says` compiled last, reused while `lexicon` is that object
+    # the grammar `says` compiled last, reused while `lexicon` is that object,
+    # and the queries it answered False
     compiled: CompiledGrammar | None = field(default=None, repr=False, compare=False)
+    refused: set = field(default_factory=set, repr=False, compare=False)
+    # (utterance, α-canonical meaning) -> the keys of the entries that a
+    # parse with that meaning scanned; true of any lexicon, so clones share it
+    witnesses: dict = field(default_factory=dict, repr=False, compare=False)
 
     def clone(self) -> "LearnerState":
         twin = LearnerState(
@@ -230,7 +238,8 @@ class LearnerState:
             dict(self.merged_constants),
             [ParadigmRecord(p.stem_base, p.licensee, p.result_base,
                             list(p.suffixes)) for p in self.paradigms],
-            list(self.revisions), set(self.blacklist))
+            list(self.revisions), set(self.blacklist),
+            witnesses=self.witnesses)
         return twin
 
     def fresh_base(self) -> str:
@@ -267,14 +276,36 @@ class LearnerState:
 
     def says(self, utterance: str, meaning: LambdaTerm) -> bool:
         """Whether some parse of the utterance by the learner's grammar
-        means the meaning; a ParserBudget propagates."""
+        means the meaning; a ParserBudget propagates.
+
+        The first parse that means it leaves a witness, the keys of the
+        entries it scanned.  An MG derivation uses only its own entries,
+        merge and move do not depend on the lexicon, compilation is
+        monotone in the entries, and the search is exhaustive; so while the
+        lexicon keeps every witness entry the answer is True, with no
+        parse.  (A full search might run out of steps where a witness
+        answers.)  A False answer holds only for the grammar it was
+        computed on."""
         if not len(self.lexicon):
             return False
+        query = (utterance, alpha_canonical(meaning))
+        keys = self.lexicon._keys
+        witness = self.witnesses.get(query)
+        if witness is not None and all(k in keys for k in witness):
+            return True
         if self.compiled is None or self.compiled.lexicon is not self.lexicon:
             self.compiled = compile_grammar(self.lexicon)
-        target = alpha_canonical(meaning)
-        return any(alpha_canonical(m) == target
-                   for m in all_meanings(self.compiled, utterance))
+            self.refused = set()
+        if query in self.refused:
+            return False
+        path, _parsed = match_meaning(self.compiled, utterance, meaning)
+        if path is None:
+            self.refused.add(query)
+            return False
+        key_of = {id(entry): k for k, entry in keys.items()}
+        self.witnesses[query] = {key_of[id(st.rule.entry)]
+                                 for st in path if st.op == "scan"}
+        return True
 
     def derivable(self, ump: UMP) -> bool:
         return self.says(ump.exponent, self.map_meaning(ump.meaning))
@@ -299,6 +330,7 @@ def _apply_gate(state: LearnerState, staged: LearnerState, alignment,
         return False
     state.lexicon = staged.lexicon
     state.compiled = staged.compiled
+    state.refused = staged.refused
     state.fresh_type_counter = staged.fresh_type_counter
     state.fresh_var_counter = staged.fresh_var_counter
     state.merged_constants = staged.merged_constants

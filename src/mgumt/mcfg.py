@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import total_ordering
+from itertools import groupby
 
 from .grammar import (
     BASE, NEG, POS, SEL, Expression, Feature, FeatureMismatch, Lexicon, Sign,
@@ -313,10 +314,23 @@ def compile_grammar(lex: Lexicon) -> CompiledGrammar:
                     frontier.append(sub)
     final = [r for r in rules if r.lhs in reachable]
 
+    # rules in order of (lhs name, axiom, provenance, entry order), ties
+    # broken by the rule's rendering, which only tied rules pay for
     entry_order = {id(e): i for i, e in enumerate(lex.entries)}
-    final.sort(key=lambda r: (repr(r.lhs), r.is_axiom, r.provenance,
-                              entry_order.get(id(r.entry), -1), repr(r)))
-    return CompiledGrammar(lex, final, starts)
+    names = {cat: repr(cat) for cat in reachable}
+
+    def key(r):
+        return (names[r.lhs], r.is_axiom, r.provenance,
+                entry_order.get(id(r.entry), -1))
+
+    final.sort(key=key)
+    ordered = []
+    for _, tied in groupby(final, key):
+        tied = list(tied)
+        if len(tied) > 1:
+            tied.sort(key=repr)
+        ordered += tied
+    return CompiledGrammar(lex, ordered, starts)
 
 
 def rule_dump(grammar: CompiledGrammar) -> str:

@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 from .grammar import Lexicon, check_lexical_type, save_lexicon
 from .learner import LearnerState, NoRepairFound, express, ingest, repair
 from .mcfg import compile_grammar
-from .terms import LambdaTerm, alpha_equivalent, beta_reduce, parse_term, render_term
-from .transducer import UMP, Unrealizable, all_meanings
+from .terms import LambdaTerm, beta_reduce, parse_term, render_term
+# all_meanings stays importable here: perfbench/spans.py traces it by this name
+from .transducer import UMP, Unrealizable, all_meanings, match_meaning  # noqa: F401
 
 
 class ScriptInvalid(Exception):
@@ -54,14 +55,12 @@ class GoldGrammar:
 def judge(gold: GoldGrammar, utterance: str, meaning: LambdaTerm) -> Verdict:
     """Parse-and-compare, not string lookup: the utterance is ungrammatical
     if the gold grammar does not parse it, and endorsed if some parse means
-    the meaning, so novel but grammatical learner productions pass."""
-    meaning = beta_reduce(meaning)
-    parses = all_meanings(gold.grammar, utterance)
-    if not parses:
-        return Verdict.REJECT_UNGRAMMATICAL
-    if any(alpha_equivalent(m, meaning) for m in parses):
+    the meaning, so novel but grammatical learner productions pass.  The
+    search stops at the first parse that means it."""
+    path, parsed = match_meaning(gold.grammar, utterance, beta_reduce(meaning))
+    if path is not None:
         return Verdict.ENDORSE
-    return Verdict.REJECT_MEANING
+    return Verdict.REJECT_MEANING if parsed else Verdict.REJECT_UNGRAMMATICAL
 
 
 # --- session scripts --------------------------------------------------------------

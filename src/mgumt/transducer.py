@@ -22,7 +22,8 @@ The meaning is one fold over the path, which keeps no queue and records
 only its deltas (items pushed, combined and contracted); the semantic
 trace is rebuilt from those deltas the first time it is read, so a caller
 that wants the meaning alone never pays for the rows.  `understand`
-composes the first path, `all_meanings` every one.
+composes the first path, `all_meanings` every one, and `match_meaning`
+each in turn until one means what it is asked about.
 
 Production searches the derivation engine for the first complete
 derivation realizing a logical form, building only expressions whose
@@ -32,7 +33,6 @@ logical form).
 
 from __future__ import annotations
 
-import logging
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -49,8 +49,6 @@ from .terms import (
     EMPTY, LambdaTerm, App, NonTerminating, alpha_canonical, beta_reduce,
     beta_step, parse_term, render_term,
 )
-
-log = logging.getLogger(__name__)
 
 # steps the parser may take, and reductions the semantic queue may make
 MAX_STEPS = 10_000
@@ -492,22 +490,37 @@ def produce(lexicon: Lexicon, meaning: LambdaTerm,
     # complete_derivations keeps one tree per (exponent, meaning), so every
     # further match is a distinct exponent
     alternatives = [t.sign.exponent for t in matches[1:]]
-    if alternatives:
-        log.warning("ambiguous realization of %s: %r also possible",
-                    render_term(meaning), alternatives)
     return ProduceResult(first.sign.exponent, first, alternatives)
 
 
 def all_meanings(grammar: CompiledGrammar, utterance) -> list[LambdaTerm]:
     """Every meaning the grammar gives the utterance, one per α-equivalence
     class, in the order the parser accepts its paths (so the first is the
-    one `understand` gives); judges use it so that parse ambiguity cannot
-    fool them."""
+    one `understand` gives).  `derive --target` reads them all; a judge
+    asking after one meaning wants `match_meaning`."""
     meanings: dict[LambdaTerm, LambdaTerm] = {}
     for path in _parses(grammar, utterance, MAX_STEPS):
         meaning, _deltas = _compose(path, MAX_STEPS)
         meanings.setdefault(alpha_canonical(meaning), meaning)
     return list(meanings.values())
+
+
+def match_meaning(grammar: CompiledGrammar, utterance,
+                  meaning: LambdaTerm) -> tuple[list[Step] | None, bool]:
+    """The first accepting path whose meaning is α-equal to the meaning
+    (None if there is none), and whether the parser accepted any path.
+
+    The search stops at that path, so a judge that asks whether the
+    utterance can mean this pays only for the paths before it; when no path
+    matches, it has composed every one, as `all_meanings` does."""
+    target = alpha_canonical(meaning)
+    accepted = False
+    for path in _parses(grammar, utterance, MAX_STEPS):
+        accepted = True
+        composed, _deltas = _compose(path, MAX_STEPS)
+        if alpha_canonical(composed) == target:
+            return path, True
+    return None, accepted
 
 
 @dataclass(frozen=True)

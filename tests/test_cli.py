@@ -290,11 +290,12 @@ def test_repl_session(teach_paths, monkeypatch, capsys, tmp_path):
 
 
 def test_repl_survives_parser_budget(tmp_path):
-    # the teacher's parse of old^10, with its 1,024 readings, runs out of
-    # steps: the repl reports it and goes on with the next command
+    # the all-aged reading is the last of old^10's 2^10 that the teacher's
+    # search would meet, and its steps run out first: the repl reports it
+    # and goes on with the next command
     path = tmp_path / "gold.mg"
     path.write_text(HOMOPHONES, encoding="utf-8")
-    meaning = "eat(cheese)(" + "old(" * 10 + "mouse" + ")" * 11
+    meaning = "eat(cheese)(" + "aged(" * 10 + "mouse" + ")" * 11
     commands = ["teach the " + "old " * 10 + f"mouse eats cheese | {meaning}",
                 f"ask {meaning}", "lexicon"]
     done = mgumt_in_subprocess("repl", "--gold", str(path),

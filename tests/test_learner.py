@@ -12,7 +12,7 @@ from mgumt.learner import (
 from mgumt.mcfg import compile_grammar
 from mgumt.teacher import GoldGrammar, run_session
 from mgumt.terms import alpha_equivalent, parse_term, render_term
-from mgumt.transducer import UMP, ParserBudget, Unrealizable
+from mgumt.transducer import UMP, ParserBudget, Unrealizable, match_meaning
 
 p = parse_term
 
@@ -315,12 +315,34 @@ def test_fixture_session_compiles_each_lexicon_once(monkeypatch):
     assert len({save_lexicon(lex) for lex in compiled}) == len(compiled)
 
 
+def test_fixture_session_parses_only_what_a_revision_can_break(monkeypatch):
+    # 49 derivable calls and one repair check make 22 parses: a witness
+    # answers 20 queries, a refusal kept for the same grammar 4, and the
+    # empty lexicon 4
+    parses, calls = [], []
+    real_parse, real_derivable = match_meaning, LearnerState.derivable
+
+    def parse(*args):
+        parses.append(args[1])
+        return real_parse(*args)
+
+    def derivable(self, ump):
+        calls.append(ump)
+        return real_derivable(self, ump)
+
+    monkeypatch.setattr("mgumt.learner.match_meaning", parse)
+    monkeypatch.setattr(LearnerState, "derivable", derivable)
+    run_session(GoldGrammar(teaching_gold()), SESSION_SCRIPT)
+    assert (len(calls), len(parses)) == (49, 22)
+
+
 def test_parser_budget_is_not_underivable():
-    # 2^10 readings of old^10 exhaust the parser: that is no answer, so it
+    # the all-aged reading is the last of old^10's 2^10 that the search
+    # would meet, and its steps run out first: that is no answer, so it
     # must not read as "this pair does not derive"
     s = LearnerState(lexicon=load_lexicon(
         TABLE_ONE + "old\t::\t=n n\t\\x.old(x)\n"
         + "old\t::\t=n n\t\\x.aged(x)\n"))
-    meaning = p("eat(cheese)(" + "old(" * 10 + "mouse" + ")" * 11)
+    meaning = p("eat(cheese)(" + "aged(" * 10 + "mouse" + ")" * 11)
     with pytest.raises(ParserBudget):
         s.derivable(UMP("the " + "old " * 10 + "mouse eats cheese", meaning))

@@ -6,8 +6,8 @@ from mgumt.learner import LearnerState
 from mgumt.teacher import (
     GoldGrammar, ScriptInvalid, Verdict, judge, parse_script, run_session,
 )
-from mgumt.terms import alpha_equivalent, parse_term
-from mgumt.transducer import produce
+from mgumt.terms import alpha_equivalent, beta_reduce, parse_term
+from mgumt.transducer import all_meanings, produce
 
 p = parse_term
 
@@ -48,6 +48,55 @@ def test_judge_recursive_modifier_gold():
         is Verdict.REJECT_UNGRAMMATICAL
     assert judge(gold, "the old mouse eats cheese", meaning) \
         is Verdict.REJECT_MEANING
+
+
+def every_reading_verdict(readings, meaning):
+    """The verdict from every meaning of the utterance (its `all_meanings`),
+    as judges gave it before they stopped at the first parse that means the
+    meaning."""
+    if not readings:
+        return Verdict.REJECT_UNGRAMMATICAL
+    if any(alpha_equivalent(m, beta_reduce(meaning)) for m in readings):
+        return Verdict.ENDORSE
+    return Verdict.REJECT_MEANING
+
+
+def test_judge_agrees_with_every_reading(gold):
+    # each gold sentence, its agreement variant and its adjacent-word swaps,
+    # with each gold meaning; then old^k on two homophone olds, k <= 6, with
+    # each of its 2^k readings and a mismatch, and the same words swapped
+    signs = complete_derivations(gold.lexicon, 200).complete_signs()
+    agreement = {"eats": "eat", "eat": "eats"}
+    utterances = []
+    for sign in signs:
+        words = sign.exponent.split()
+        utterances.append(sign.exponent)
+        utterances.append(" ".join(agreement.get(w, w) for w in words))
+        for i in range(len(words) - 1):
+            swapped = list(words)
+            swapped[i:i + 2] = swapped[i + 1], swapped[i]
+            utterances.append(" ".join(swapped))
+    cases = [(gold, u, [s.semantics for s in signs]) for u in utterances]
+    homophones = GoldGrammar(load_lexicon(
+        TABLE_ONE + "old\t::\t=n n\t\\x.old(x)\n"
+        + "old\t::\t=n n\t\\x.aged(x)\n"))
+    for k in range(7):
+        subjects = ["mouse"]
+        for _ in range(k):
+            subjects = [f"{w}({s})" for s in subjects for w in ("old", "aged")]
+        meanings = [p(f"eat(cheese)({s})") for s in subjects + ["old(rat)"]]
+        for utterance in ("the " + "old " * k + "mouse eats cheese",
+                          "the " + "old " * k + "mouse cheese eats"):
+            cases.append((homophones, utterance, meanings))
+    seen = set()
+    for teacher, utterance, meanings in cases:
+        readings = all_meanings(teacher.grammar, utterance)
+        for meaning in meanings:
+            got = judge(teacher, utterance, meaning)
+            assert got is every_reading_verdict(readings, meaning), (
+                utterance, meaning)
+            seen.add(got)
+    assert seen == set(Verdict)
 
 
 def test_teacher_self_consistency(gold):

@@ -297,6 +297,46 @@ def test_property_learner_says_what_the_closure_derives(text):
                     text, exponent)
 
 
+@settings(max_examples=500, deadline=None)
+@given(tiered_lexicons(), tiered_lexicons(), st.data())
+def test_property_witness_answers_as_a_fresh_parse(text, extra, data):
+    # a lexicon that keeps a pair's witness entries, whatever else it drops
+    # or adds, answers as a learner that parses it afresh (about one drawn
+    # lexicon in six derives a sentence, hence the example count)
+    try:
+        lex, more = load_lexicon(text), load_lexicon(extra)
+    except LexiconError:
+        return      # a drawn entry repeats another
+    search = complete_derivations(lex, 16)
+    pairs = {(t.sign.exponent, alpha_canonical(t.sign.semantics)): t.sign.semantics
+             for t in search.complete}
+    if not pairs:
+        return
+    learner = LearnerState(lexicon=lex)
+    (exponent, key), meaning = data.draw(st.sampled_from(list(pairs.items())))
+    assert learner.says(exponent, meaning)
+    witness = learner.witnesses[exponent, key]
+    revised = lex.without([e for k, e in lex._keys.items() if k not in witness
+                           and data.draw(st.booleans())])
+    for entry in more:
+        if data.draw(st.booleans()):
+            revised = revised.with_entry(entry)
+    # and one that loses a witness entry parses again
+    lost = revised.without([revised._keys[data.draw(st.sampled_from(sorted(
+        witness, key=repr)))]])
+    queries = [(x, m) for (x, _), m in pairs.items()]
+    queries += [(exponent, App(meaning, meaning))]
+    for lexicon in (revised, lost):
+        for utterance, m in queries:
+            warm = learner.clone()
+            warm.lexicon = lexicon
+            try:
+                expected = LearnerState(lexicon=lexicon).says(utterance, m)
+            except ParserBudget:
+                continue
+            assert warm.says(utterance, m) == expected, (text, extra, utterance)
+
+
 # --- meaning-bounded search against the full closure -----------------------------
 
 def derivation_record(tree):
