@@ -3,8 +3,10 @@ traces, grammar compilation, derivation replay, scripted learning and a
 teaching REPL.
 
 Exit codes: 0 success, 1 clean rejection, unrealizable meaning or a parser
-or semantic limit, 2 usage or file-format errors.  `produce` and `derive`
-take a bottom-up derivation budget from --budget, else from UMT_BUDGET.
+or semantic limit, 2 usage or file-format errors.  `produce` and plain
+`derive` take a bottom-up derivation budget from --budget, else from
+UMT_BUDGET; `derive --target` parses the target and replays each reading's
+derivation, with no budget.
 """
 
 from __future__ import annotations
@@ -21,11 +23,9 @@ from .grammar import (
 from .learner import LearnerState, NoRepairFound, express, ingest, repair
 from .mcfg import EmptyLexicon, compile_grammar, rule_dump
 from .teacher import GoldGrammar, ScriptInvalid, judge, parse_script, run_session
-from .terms import (
-    NonTerminating, TermSyntaxError, alpha_equivalent, parse_term, render_term,
-)
+from .terms import NonTerminating, TermSyntaxError, parse_term, render_term
 from .transducer import (
-    UMP, ParseRejected, ParserBudget, Unrealizable, all_meanings, produce,
+    UMP, ParseRejected, ParserBudget, Unrealizable, derivations, produce,
     recognize, understand,
 )
 
@@ -104,31 +104,24 @@ def _print_derivation(tree):
 
 
 def cmd_derive(args) -> int:
-    """Complete derivations within the budget.  With a target, one search
-    per meaning the parser gives it, each bounded by that meaning's
-    constants: the unbounded closure need not end on a recursive lexicon."""
+    """Complete derivations within the budget.  With a target, the
+    derivation of each reading the parser gives it, read off the parse:
+    no search, so no budget."""
     lex = _lexicon(args.lexicon)
     if args.target is None:
-        searches = [complete_derivations(lex, _budget(args))]
-        trees = searches[0].complete
+        search = complete_derivations(lex, _budget(args))
+        trees, exhausted = search.complete, search.budget_exhausted
     else:
-        meanings = all_meanings(compile_grammar(lex), args.target)
-        searches = [complete_derivations(lex, _budget(args), meaning=m)
-                    for m in meanings]
-        trees = [t for m, search in zip(meanings, searches)
-                 for t in search.complete
-                 if t.sign.exponent == args.target
-                 and alpha_equivalent(t.sign.semantics, m)]
+        trees, exhausted = derivations(compile_grammar(lex), args.target), False
     if not trees:
         print("no complete derivation found")
-        return 1
     for tree in trees:
         print(f"# {render_sign(tree.sign)}")
         _print_derivation(tree)
         print()
-    if any(search.budget_exhausted for search in searches):
+    if exhausted:
         print("# note: derivation budget exhausted, results may be partial")
-    return 0
+    return 0 if trees else 1
 
 
 def cmd_learn(args) -> int:
@@ -225,7 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--lexicon", required=True, help="lexicon file")
         if budget:
             sp.add_argument("--budget", type=int, default=None,
-                            help="derivation budget (default: UMT_BUDGET or 10x lexicon)")
+                            help="bottom-up derivation budget, unused by "
+                                 "derive --target (default: UMT_BUDGET or "
+                                 "10x lexicon)")
 
     sp = sub.add_parser("parse", help="top-down recognition with trace")
     common(sp)

@@ -341,16 +341,17 @@ class DerivationTree:
     def steps(self):
         """Rule applications in presentation order: later premises first,
         each node after its premises.  Replaying the gold grammar yields the
-        published step numbering."""
+        published step numbering.  That order is a preorder that visits
+        earlier premises first, reversed, which an explicit stack gives at
+        any depth."""
         out = []
-
-        def walk(node):
-            for child in reversed(node.children):
-                walk(child)
+        stack = [self]
+        while stack:
+            node = stack.pop()
             if node.rule != LEXICAL:
                 out.append(node)
-
-        walk(self)
+            stack += reversed(node.children)
+        out.reverse()
         return out
 
     @property
@@ -430,8 +431,8 @@ def complete_derivations(lex: Lexicon,
     normal between structural steps.  Expressions are deduplicated; the first
     tree found for an expression is minimal.  `complete` keeps the first
     complete tree per (exponent, α-canonical meaning), in the order popped.
-    `produce`, `mgumt derive` and the learner's slot analogy use it; whether
-    an utterance has a meaning is the parser's question (`match_meaning`).
+    `produce` and plain `mgumt derive` use it; what an utterance means, and
+    its derivations, are the parser's (`match_meaning`, `derivations`).
 
     Processed trees are indexed by their head's leading feature (the agenda
     index of Harkema 2001 and Stabler 2013): a popped tree led by `=f` is

@@ -26,9 +26,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .grammar import (
+# complete_derivations stays importable here: perfbench/spans.py traces it
+# by this name
+from .grammar import (  # noqa: F401
     BASE, NEG, POS, SEL, Feature, Lexicon, Sign, SyntacticType,
-    complete_derivations, load_lexicon, save_lexicon, sign_key,
+    complete_derivations, sign_key,
 )
 from .mcfg import CompiledGrammar, compile_grammar
 from .terms import (
@@ -36,7 +38,7 @@ from .terms import (
     VariableName, abstract, all_names, alpha_canonical, alpha_equivalent,
     beta_reduce, free_vars, render_term, substitute, subterms, var_name,
 )
-from .transducer import UMP, ProduceResult, match_meaning, produce
+from .transducer import UMP, ProduceResult, derivation, match_meaning, produce
 
 MIN_STEM_CHARS = 3      # character-phase alignment threshold
 
@@ -216,15 +218,15 @@ class LearnerState:
     lexicon: Lexicon = field(default_factory=lambda: Lexicon(()))
     time: int = 0
     endorsed: list[UMP] = field(default_factory=list)
-    punished: list[tuple[str, LambdaTerm]] = field(default_factory=list)
     fresh_type_counter: int = 0
     fresh_var_counter: int = 0
     merged_constants: dict[VariableName, VariableName] = field(default_factory=dict)
     paradigms: list[ParadigmRecord] = field(default_factory=list)
     revisions: list[str] = field(default_factory=list)
     blacklist: set = field(default_factory=set)
-    # the grammar `says` compiled last, reused while `lexicon` is that object,
-    # and the queries it answered False
+    # the grammar `grammar()` compiled last, reused while `lexicon` is that
+    # object, and the queries `says` answered False on it; a refusal holds
+    # for its grammar, so clones share both
     compiled: CompiledGrammar | None = field(default=None, repr=False, compare=False)
     refused: set = field(default_factory=set, repr=False, compare=False)
     # (utterance, α-canonical meaning) -> the keys of the entries that a
@@ -232,15 +234,14 @@ class LearnerState:
     witnesses: dict = field(default_factory=dict, repr=False, compare=False)
 
     def clone(self) -> "LearnerState":
-        twin = LearnerState(
-            self.lexicon, self.time, list(self.endorsed), list(self.punished),
+        return LearnerState(
+            self.lexicon, self.time, list(self.endorsed),
             self.fresh_type_counter, self.fresh_var_counter,
             dict(self.merged_constants),
             [ParadigmRecord(p.stem_base, p.licensee, p.result_base,
                             list(p.suffixes)) for p in self.paradigms],
             list(self.revisions), set(self.blacklist),
-            witnesses=self.witnesses)
-        return twin
+            self.compiled, self.refused, self.witnesses)
 
     def fresh_base(self) -> str:
         self.fresh_type_counter += 1
@@ -274,6 +275,13 @@ class LearnerState:
             return Abs(term.binder, self.map_meaning(term.body))
         return term
 
+    def grammar(self) -> CompiledGrammar:
+        """The lexicon compiled to an MCFG, once per lexicon object."""
+        if self.compiled is None or self.compiled.lexicon is not self.lexicon:
+            self.compiled = compile_grammar(self.lexicon)
+            self.refused = set()
+        return self.compiled
+
     def says(self, utterance: str, meaning: LambdaTerm) -> bool:
         """Whether some parse of the utterance by the learner's grammar
         means the meaning; a ParserBudget propagates.
@@ -293,12 +301,10 @@ class LearnerState:
         witness = self.witnesses.get(query)
         if witness is not None and all(k in keys for k in witness):
             return True
-        if self.compiled is None or self.compiled.lexicon is not self.lexicon:
-            self.compiled = compile_grammar(self.lexicon)
-            self.refused = set()
+        grammar = self.grammar()
         if query in self.refused:
             return False
-        path, _parsed = match_meaning(self.compiled, utterance, meaning)
+        path, _parsed = match_meaning(grammar, utterance, meaning)
         if path is None:
             self.refused.add(query)
             return False
@@ -586,30 +592,25 @@ def _stage_slot(state: LearnerState, al: Alignment):
         return None
     sem_new, _ = al.semantic_residues
     want = " ".join(rb)
-    mapped = state.map_meaning(old.meaning)
-    target = alpha_canonical(mapped)
-    tree = next((t for t in complete_derivations(state.lexicon,
-                                                 meaning=mapped).complete
-                 if t.sign.exponent == old.exponent
-                 and alpha_canonical(t.sign.semantics) == target), None)
-    if tree is None:
+    # the old pair's derivation, read off its parse
+    path, _parsed = match_meaning(state.grammar(), old.exponent,
+                                  state.map_meaning(old.meaning))
+    if path is None:
         return None
-    slot_feats = None
-
-    def walk(node):
-        nonlocal slot_feats
-        if node.expression.head.exponent == want and len(node.expression.signs) == 1:
-            head = node.expression.head
-            if slot_feats is None or len(head.stype.features) < len(slot_feats[0]):
-                slot_feats = (head.stype.features, head.stype.lexical)
-        for c in node.children:
-            walk(c)
-
-    walk(tree)
-    if slot_feats is None:
+    # the type of the first, in preorder, of the fewest-featured one-sign
+    # constituents whose yield is `want`
+    slot = None
+    nodes = [derivation(path)]
+    while nodes:
+        node = nodes.pop()
+        head = node.expression.head
+        if (head.exponent == want and len(node.expression.signs) == 1
+                and (slot is None or len(head.stype.features) < len(slot.features))):
+            slot = head.stype
+        nodes += reversed(node.children)
+    if slot is None:
         return None
-    feats, lexical = slot_feats
-    new = Sign(" ".join(ra), SyntacticType(lexical, feats), sem_new)
+    new = Sign(" ".join(ra), slot, sem_new)
     if state.lexicon.contains(new):
         return None
     state.lexicon = state.lexicon.with_entry(new)
@@ -718,30 +719,6 @@ def _generalize(state: LearnerState):
 def express(state: LearnerState, meaning: LambdaTerm) -> ProduceResult:
     """What the learner would say for the meaning (first derivation found)."""
     return produce(state.lexicon, beta_reduce(meaning))
-
-
-def save_checkpoint(state: LearnerState) -> str:
-    """Lexicon file with a header carrying the iteration and counters."""
-    head = (f"# t={state.time} types={state.fresh_type_counter} "
-            f"vars={state.fresh_var_counter}\n")
-    return head + save_lexicon(state.lexicon)
-
-
-def load_checkpoint(text: str) -> LearnerState:
-    state = LearnerState()
-    for raw in text.splitlines():
-        if raw.startswith("# t="):
-            for token in raw[2:].split():
-                key, _, val = token.partition("=")
-                if key == "t":
-                    state.time = int(val)
-                elif key == "types":
-                    state.fresh_type_counter = int(val)
-                elif key == "vars":
-                    state.fresh_var_counter = int(val)
-            break
-    state.lexicon = load_lexicon(text)
-    return state
 
 
 # --- repair ----------------------------------------------------------------------
@@ -876,7 +853,6 @@ def repair(state: LearnerState, punished: tuple[str, LambdaTerm]) -> LearnerStat
     """Search the repair operators for a revision that keeps all endorsed
     pairs derivable and stops the punished production."""
     utterance, meaning = punished
-    state.punished.append((utterance, beta_reduce(meaning)))
     # R1: morpheme split over paradigm cells
     for stem, plural in _paradigm_pairs(state):
         staged = state.clone()

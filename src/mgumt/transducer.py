@@ -23,7 +23,9 @@ only its deltas (items pushed, combined and contracted); the semantic
 trace is rebuilt from those deltas the first time it is read, so a caller
 that wants the meaning alone never pays for the rows.  `understand`
 composes the first path, `all_meanings` every one, and `match_meaning`
-each in turn until one means what it is asked about.
+each in turn until one means what it is asked about.  Every expansion's
+rule comes from one merge or move, so `derivation` replays a path, the same
+way, as the MG derivation tree it fixes.
 
 Production searches the derivation engine for the first complete
 derivation realizing a logical form, building only expressions whose
@@ -40,14 +42,16 @@ from itertools import pairwise
 from operator import attrgetter
 from typing import NamedTuple
 
-from .grammar import Lexicon, complete_derivations
+from .grammar import (
+    DerivationTree, Lexicon, _apply_rule, _normalized, complete_derivations,
+)
 from .mcfg import (
     ROOT, CompiledGrammar, McfgCategory, McfgRule, NodeIndex,
     assign_child_indices,
 )
 from .terms import (
     EMPTY, LambdaTerm, App, NonTerminating, alpha_canonical, beta_reduce,
-    beta_step, parse_term, render_term,
+    beta_step, render_term,
 )
 
 # steps the parser may take, and reductions the semantic queue may make
@@ -493,16 +497,46 @@ def produce(lexicon: Lexicon, meaning: LambdaTerm,
     return ProduceResult(first.sign.exponent, first, alternatives)
 
 
+def derivation(path: list[Step]) -> DerivationTree:
+    """The MG derivation an accepting path fixes, with no search: the path
+    replayed bottom-up, as in `_compose`.  A scan gives its entry's leaf; an
+    expansion applies the merge or move its rule came from to its children,
+    and λ-app steps then normalize the head, as the closure's trees do."""
+    held: dict[int, DerivationTree] = {}
+    for after, st in pairwise(reversed(path)):
+        if st.op == "scan":
+            held[id(st.queue[0])] = DerivationTree.leaf(st.rule.entry)
+        elif st.op == "expand":
+            kids = tuple(held.pop(id(c)) for c in after.queue[:len(st.rule.rhs)])
+            expr = _apply_rule(st.rule.provenance, [k.expression for k in kids])
+            held[id(st.queue[0])] = _normalized(DerivationTree(
+                st.rule.provenance, expr, kids, sum(k.size for k in kids) + 1,
+                sum(k.structural_size for k in kids) + 1))
+    return held[id(path[0].queue[0])]
+
+
+def _readings(grammar: CompiledGrammar, utterance):
+    """(meaning, path) for the first accepting path of each α-equivalence
+    class of meanings, in the order the parser accepts them."""
+    readings: dict[LambdaTerm, tuple] = {}
+    for path in _parses(grammar, utterance, MAX_STEPS):
+        meaning, _deltas = _compose(path, MAX_STEPS)
+        readings.setdefault(alpha_canonical(meaning), (meaning, path))
+    return readings.values()
+
+
 def all_meanings(grammar: CompiledGrammar, utterance) -> list[LambdaTerm]:
     """Every meaning the grammar gives the utterance, one per α-equivalence
     class, in the order the parser accepts its paths (so the first is the
-    one `understand` gives).  `derive --target` reads them all; a judge
-    asking after one meaning wants `match_meaning`."""
-    meanings: dict[LambdaTerm, LambdaTerm] = {}
-    for path in _parses(grammar, utterance, MAX_STEPS):
-        meaning, _deltas = _compose(path, MAX_STEPS)
-        meanings.setdefault(alpha_canonical(meaning), meaning)
-    return list(meanings.values())
+    one `understand` gives).  A judge asking after one meaning wants
+    `match_meaning`."""
+    return [meaning for meaning, _path in _readings(grammar, utterance)]
+
+
+def derivations(grammar: CompiledGrammar, utterance) -> list[DerivationTree]:
+    """One derivation per meaning of the utterance, in `all_meanings`
+    order: what `derive --target` prints."""
+    return [derivation(path) for _meaning, path in _readings(grammar, utterance)]
 
 
 def match_meaning(grammar: CompiledGrammar, utterance,
@@ -532,20 +566,3 @@ class UMP:
     def __repr__(self):
         return f"⟨{self.exponent}, {render_term(self.meaning)}⟩"
 
-
-# corpus files: one `utterance TAB term` per line, '#' comments
-
-def load_corpus(text: str) -> list[UMP]:
-    out = []
-    for ln, raw in enumerate(text.splitlines(), 1):
-        if not raw.strip() or raw.lstrip().startswith("#"):
-            continue
-        parts = raw.split("\t")
-        if len(parts) != 2:
-            raise ValueError(f"corpus line {ln}: expected utterance<TAB>term")
-        out.append(UMP(parts[0].strip(), beta_reduce(parse_term(parts[1]))))
-    return out
-
-
-def save_corpus(umps) -> str:
-    return "".join(f"{u.exponent}\t{render_term(u.meaning)}\n" for u in umps)

@@ -144,6 +144,31 @@ def test_default_budget_derive_ends(tmp_path):
         "# note: derivation budget exhausted, results may be partial")
 
 
+def test_derive_budget_note_without_trees(gold_path, capsys):
+    # a search that found nothing and ran out of budget says so
+    assert main(["derive", "--lexicon", gold_path, "--budget", "5"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "no complete derivation found",
+        "# note: derivation budget exhausted, results may be partial"]
+
+
+@pytest.mark.parametrize("depth,steps", [(6, 103), (80, 1213)])
+def test_derive_target_reads_deep_embeddings(depth, steps, tmp_path):
+    # the derivation is read off the parse: no budget to outgrow (depth 6
+    # needs 103 steps, the closure's default budget is 90), and no
+    # recursion over the tree
+    path = tmp_path / "lex.mg"
+    path.write_text(EMBEDDING, encoding="utf-8")
+    sentence = " ".join(["the rat eats that"] * depth + ["the mouse eats cheese"])
+    done = mgumt_in_subprocess("derive", "--lexicon", str(path),
+                               "--target", sentence)
+    assert done.returncode == 0, done.stderr
+    assert "error:" not in done.stderr
+    numbered = [line for line in done.stdout.splitlines()
+                if line.startswith("(")]
+    assert numbered[-1].startswith(f"({steps}) ") and len(numbered) == steps
+
+
 def test_compile_rule_count(gold_path, capsys):
     assert main(["compile", "--lexicon", gold_path]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mgumt.fixtures import TABLE_ONE, table_one, teaching_gold
-from mgumt.grammar import LexiconError, complete_derivations, load_lexicon
+from mgumt.grammar import (
+    LexiconError, complete_derivations, expression_key, load_lexicon, replay,
+)
 from mgumt import transducer
 from mgumt.learner import LearnerState
 from mgumt.mcfg import assign_child_indices, compile_grammar, enumerate_strings
@@ -13,8 +15,8 @@ from mgumt.terms import (
     render_term, v,
 )
 from mgumt.transducer import (
-    UMP, ParseRejected, ParserBudget, Unrealizable, all_meanings, produce,
-    recognize, understand,
+    UMP, ParseRejected, ParserBudget, Unrealizable, all_meanings, derivation,
+    derivations, produce, recognize, understand,
 )
 
 p = parse_term
@@ -407,6 +409,74 @@ def test_pruned_trees_do_not_exhaust_the_budget():
     assert not complete_derivations(lex, 1, meaning=p("g(b)")).budget_exhausted
 
 
+# --- derivations read off the parse ----------------------------------------------
+
+HOMOPHONE_TEXT = RECURSIVE_OLD + "old\t::\t=n n\t\\x.aged(x)\n"
+EMBEDDING_TEXT = DERIVATION_CASES["embedding"][0]
+# sentences the closure's 16 steps do not reach
+DEEPER = {
+    EMBEDDING_TEXT: ["the rat eats that the mouse eats cheese",
+                     "the rat eats that the rat eats that the mouse eats cheese"],
+    HOMOPHONE_TEXT: ["the old mouse eats cheese", "the old old mouse eats cheese"],
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(tiered_lexicons(), st.sampled_from(sorted(DEEPER))))
+def test_property_derivation_agrees_with_compose_and_closure(text):
+    # on every accepting path, the replayed derivation means what the
+    # semantic queue composes and replays under merge and move; wherever
+    # the closure ran to the end, its tree for a reading is one of the
+    # reading's replayed derivations.  It need not be the first: with
+    # `=y =y x` both as \P.\Q.Q(P) and as eps, and `y` as s3, the empty
+    # sentence means s3(s3) by either entry, and the parser meets the
+    # λ-app derivation first where the closure keeps the smaller one.
+    try:
+        lex = load_lexicon(text)
+    except LexiconError:
+        return      # a drawn entry repeats another
+    grammar = compile_grammar(lex)
+    search = complete_derivations(lex, 16)
+    closure = {} if search.budget_exhausted else {
+        (t.sign.exponent, alpha_canonical(t.sign.semantics)): t
+        for t in search.complete}
+    sentences = {t.sign.exponent for t in search.complete}
+    for sentence in sorted(sentences.union(DEEPER.get(text, ()))):
+        readings = {}
+        for path in transducer._parses(grammar, sentence, transducer.MAX_STEPS):
+            meaning, _deltas = transducer._compose(path, transducer.MAX_STEPS)
+            tree = derivation(path)
+            assert alpha_equivalent(tree.sign.semantics, meaning), (text, sentence)
+            assert expression_key(replay(tree)) == expression_key(tree.expression)
+            readings.setdefault(alpha_canonical(meaning), []).append(
+                derivation_record(tree))
+        assert ([derivation_record(t) for t in derivations(grammar, sentence)]
+                == [records[0] for records in readings.values()])
+        for key, records in readings.items():
+            twin = closure.get((sentence, key))
+            if twin is not None:
+                assert derivation_record(twin) in records, (text, sentence)
+
+
+@pytest.mark.parametrize("text,sentence", [
+    (TABLE_ONE, "the mouse eats cheese"),
+    *((EMBEDDING_TEXT, sentence) for sentence in DEEPER[EMBEDDING_TEXT]),
+    *((HOMOPHONE_TEXT, sentence) for sentence in DEEPER[HOMOPHONE_TEXT]),
+], ids=["table-one", "embedding-1", "embedding-2", "old", "old-old"])
+def test_derivations_are_the_bounded_closures(text, sentence):
+    # every reading's replayed derivation is the one the closure bounded by
+    # its meaning finds first
+    lex = load_lexicon(text)
+    trees = derivations(compile_grammar(lex), sentence)
+    assert trees
+    for tree in trees:
+        search = complete_derivations(lex, 60, meaning=tree.sign.semantics)
+        assert not search.budget_exhausted
+        key = alpha_canonical(tree.sign.semantics)
+        twin = next(t for t in search.complete if t.sign.exponent == sentence
+                    and alpha_canonical(t.sign.semantics) == key)
+        assert derivation_record(tree) == derivation_record(twin)
+
 # --- production -------------------------------------------------------------------
 
 def test_produce_gold():
@@ -577,14 +647,3 @@ def test_round_trip_teaching_gold():
         u = understand(grammar, r.utterance)
         assert alpha_equivalent(u.meaning, sign.semantics)
 
-
-def test_corpus_round_trip():
-    from mgumt.transducer import load_corpus, save_corpus
-    text = "the mouse eats cheese\teat(cheese)(mouse)\n# comment\nthe rat eats cheese\teat(cheese)(rat)\n"
-    corpus = load_corpus(text)
-    assert [u.exponent for u in corpus] == ["the mouse eats cheese",
-                                            "the rat eats cheese"]
-    again = load_corpus(save_corpus(corpus))
-    assert again == corpus
-    with pytest.raises(ValueError):
-        load_corpus("only one field\n")
