@@ -123,12 +123,9 @@ class Sign:
         return render_sign(self)
 
 
-def render_sign(sign: Sign, unicode_style: bool = True) -> str:
-    exp = sign.exponent if sign.exponent else ("ε" if unicode_style else "eps")
-    sem = render_term(sign.semantics, unicode_lambda=unicode_style)
-    if unicode_style:
-        return f"⟨{exp}, {sign.stype!r}, {sem}⟩"
-    return f"<{exp}, {sign.stype!r}, {sem}>"
+def render_sign(sign: Sign) -> str:
+    sem = render_term(sign.semantics, unicode_lambda=True)
+    return f"⟨{sign.exponent or 'ε'}, {sign.stype!r}, {sem}⟩"
 
 
 @dataclass(frozen=True)
@@ -372,14 +369,25 @@ def _apply_rule(rule: str, premises) -> Expression:
 
 
 def replay(tree: DerivationTree) -> Expression:
-    """Recompute every node from its children; raises if any label lies."""
-    if tree.rule == LEXICAL:
-        return tree.expression
-    premises = [replay(c) for c in tree.children]
-    got = _apply_rule(tree.rule, premises)
-    if expression_key(got) != expression_key(tree.expression):
-        raise FeatureMismatch(f"replay mismatch at {tree.rule}: {got!r}")
-    return got
+    """Recompute every node from its children; raises if any label lies.
+    Nodes are checked in postorder, earlier premises first, from an
+    explicit stack, so a tree of any depth replays."""
+    done: list[Expression] = []
+    stack = [(tree, False)]
+    while stack:
+        node, ready = stack.pop()
+        if node.rule == LEXICAL:
+            done.append(node.expression)
+        elif not ready:
+            stack.append((node, True))
+            stack += ((c, False) for c in reversed(node.children))
+        else:
+            cut = len(done) - len(node.children)
+            got = _apply_rule(node.rule, done[cut:])
+            if expression_key(got) != expression_key(node.expression):
+                raise FeatureMismatch(f"replay mismatch at {node.rule}: {got!r}")
+            done[cut:] = [got]
+    return done[0]
 
 
 def _normalized(tree: DerivationTree) -> DerivationTree:

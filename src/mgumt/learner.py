@@ -3,17 +3,18 @@ pairs.
 
 The learner starts from an empty lexicon and, for every pair the teacher
 presents, either stores the whole utterance as a complex sign of the start
-type or factors existing knowledge against the new evidence: matching token
-spans with correlated semantic subterms are split out, the shared remainder
-becomes a template whose semantics is obtained by lambda abstraction, and
-unknown tokens analogous to known entries (shared character prefix, or the
-position carrying the semantic residue) receive copied entries.  Every
-revision must keep all previously endorsed pairs derivable, otherwise it is
-rolled back; as with the teacher, a pair derives when the parser gives the
-utterance that meaning, with each lexicon compiled to an MCFG once.  A
-pair's last parse is kept as a witness (the entries it scanned), and a
-revision that keeps all of them cannot lose the pair, so only the pairs
-whose witness lost an entry are parsed again.
+type or factors existing knowledge against the new evidence.  The pair is
+aligned with entries and endorsed pairs on token spans: where the two differ
+in one span and their meanings in one position, the residues are split out,
+the shared remainder becomes a template whose semantics is obtained by lambda
+abstraction, and unknown tokens analogous to known entries (a shared
+character stem, or the position carrying the semantic residue) receive
+copied entries.  Every revision must keep all previously endorsed pairs
+derivable, otherwise it is rolled back; as with the teacher, a pair derives
+when the parser gives the utterance that meaning, with each lexicon compiled
+to an MCFG once.  A pair's last parse is kept as a witness (the entries it
+scanned), and a revision that keeps all of them cannot lose the pair, so
+only the pairs whose witness lost an entry are parsed again.
 
 Punishment triggers lexicon repair: the morpheme split extracts a suffix
 paradigm (rat/rats) into a movement-licensed number layer, and suppletion
@@ -24,7 +25,7 @@ endorsed.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 # complete_derivations stays importable here: perfbench/spans.py traces it
 # by this name
@@ -40,7 +41,7 @@ from .terms import (
 )
 from .transducer import UMP, ProduceResult, derivation, match_meaning, produce
 
-MIN_STEM_CHARS = 3      # character-phase alignment threshold
+MIN_STEM_CHARS = 3      # the shortest character stem two words can share
 
 
 class FactoringRegression(Exception):
@@ -55,13 +56,14 @@ class NoRepairFound(Exception):
 
 @dataclass
 class Alignment:
-    """What two items have in common and where they differ."""
-    kind: str                               # pair | window | analogy | chars
+    """What two items have in common and where they differ, as `align`
+    found it; the stagers read it and recompute none of it."""
+    kind: str                               # pair | window | analogy
     shared_exponent_segments: list[list[str]]
     residue_exponents: tuple[list[str], list[str]]
-    shared_semantic_subterm: LambdaTerm | None
     semantic_residues: tuple[LambdaTerm, LambdaTerm] | None
-    source: object = None                   # the new item (UMP)
+    blocks: list[tuple[int, int, int]]      # common_blocks of their tokens
+    source: object = None                   # the new item (UMP) or an entry
     target: object = None                   # entry or endorsed UMP
     score: int = 0
 
@@ -76,17 +78,7 @@ class Alignment:
 def _item_key(x):
     if isinstance(x, Sign):
         return ("sign",) + sign_key(x)
-    if isinstance(x, UMP):
-        return ("ump", x.exponent, alpha_canonical(x.meaning))
-    return ("other", repr(x))
-
-
-def _toks(x) -> list[str]:
-    if isinstance(x, UMP):
-        return x.exponent.split()
-    if isinstance(x, Sign):
-        return x.exponent.split()
-    return str(x).split()
+    return ("ump", x.exponent, alpha_canonical(x.meaning))
 
 
 def _sem(x) -> LambdaTerm:
@@ -133,39 +125,27 @@ def semantic_diff(a: LambdaTerm, b: LambdaTerm):
     no structure (the vacuous-content case)."""
     diffs = []
 
-    def walk(x, y, depth):
+    def walk(x, y):
         if alpha_equivalent(x, y):
             return
         if isinstance(x, App) and isinstance(y, App):
             before = len(diffs)
-            walk(x.fun, y.fun, depth + 1)
-            walk(x.arg, y.arg, depth + 1)
+            walk(x.fun, y.fun)
+            walk(x.arg, y.arg)
             if len(diffs) - before > 1:
                 diffs[before:] = [(x, y)]
             return
         if isinstance(x, Abs) and isinstance(y, Abs):
             body = substitute(y.body, y.binder, Var(x.binder)) \
                 if y.binder != x.binder else y.body
-            walk(x.body, body, depth + 1)
+            walk(x.body, body)
             return
         diffs.append((x, y))
 
-    walk(a, b, 0)
+    walk(a, b)
     if len(diffs) != 1:
         return None
     return diffs[0]
-
-
-def largest_common_subterm(a: LambdaTerm, b: LambdaTerm):
-    pool = {alpha_canonical(s) for s in subterms(b) if s is not EMPTY}
-    best = None
-    for s in subterms(a):
-        if s is EMPTY or alpha_canonical(s) not in pool:
-            continue
-        size = sum(1 for _ in subterms(s))
-        if best is None or size > best[0]:
-            best = (size, s)
-    return best[1] if best else None
 
 
 def char_prefix(a: str, b: str) -> int:
@@ -176,31 +156,21 @@ def char_prefix(a: str, b: str) -> int:
 
 
 def align(a, b):
-    """Two-phase matcher: contiguous token spans first, character prefixes
-    (>= 3 chars) inside mismatching token pairs second, together with the
-    single correlated semantic residue.  None when no usable match exists."""
-    if isinstance(a, str) and isinstance(b, str) and " " not in a + b:
-        n = char_prefix(a, b)
-        if n < MIN_STEM_CHARS:
-            return None
-        return Alignment("chars", [[a[:n]]], ([a[n:]] if a[n:] else [],
-                                              [b[n:]] if b[n:] else []),
-                         None, None, source=a, target=b, score=n)
-    ta, tb = _toks(a), _toks(b)
+    """Token-span matcher for two pairs or entries: their common token
+    blocks, the one span where both have tokens of their own (each side's
+    residue), and the single position where their meanings differ (None
+    when they differ in more than one).  None when the two share no block or
+    differ in more than one span."""
+    ta, tb = a.exponent.split(), b.exponent.split()
     blocks = common_blocks(ta, tb)
     if not blocks:
         return None
-    gaps = _gaps(ta, tb, blocks)
-    both = [(i, ga, gb) for i, (ga, gb) in enumerate(gaps) if ga and gb]
+    both = [gap for gap in _gaps(ta, tb, blocks) if gap[0] and gap[1]]
     if len(both) != 1:
         return None
-    _, ra, rb = both[0]
-    shared = [ta[i:i + n] for i, _, n in blocks]
-    diff = semantic_diff(_sem(a), _sem(b))
-    residues = diff if diff else None
-    return Alignment("pair", shared, (ra, rb),
-                     largest_common_subterm(_sem(a), _sem(b)), residues,
-                     source=a, target=b, score=sum(n for *_, n in blocks))
+    return Alignment("pair", [ta[i:i + n] for i, _, n in blocks], both[0],
+                     semantic_diff(_sem(a), _sem(b)), blocks, source=a,
+                     target=b, score=sum(n for *_, n in blocks))
 
 
 # --- learner state ---------------------------------------------------------------
@@ -234,14 +204,14 @@ class LearnerState:
     witnesses: dict = field(default_factory=dict, repr=False, compare=False)
 
     def clone(self) -> "LearnerState":
-        return LearnerState(
-            self.lexicon, self.time, list(self.endorsed),
-            self.fresh_type_counter, self.fresh_var_counter,
-            dict(self.merged_constants),
-            [ParadigmRecord(p.stem_base, p.licensee, p.result_base,
-                            list(p.suffixes)) for p in self.paradigms],
-            list(self.revisions), set(self.blacklist),
-            self.compiled, self.refused, self.witnesses)
+        """A copy to stage a revision on: the containers a revision can
+        change are copied (no paradigm record is changed in place), the
+        lexicon, its grammar, refusals and witnesses are shared."""
+        return replace(self, endorsed=list(self.endorsed),
+                       merged_constants=dict(self.merged_constants),
+                       paradigms=list(self.paradigms),
+                       revisions=list(self.revisions),
+                       blacklist=set(self.blacklist))
 
     def fresh_base(self) -> str:
         self.fresh_type_counter += 1
@@ -329,19 +299,12 @@ def _entry(exponent_tokens, lexical, features, semantics) -> Sign:
 
 def _apply_gate(state: LearnerState, staged: LearnerState, alignment,
                 note: str) -> bool:
-    """Commit the staged lexicon if every endorsed pair still derives."""
+    """Adopt the staged state whole if every endorsed pair still derives."""
     if not staged.covers_endorsed():
         if alignment is not None:
             state.blacklist.add(alignment.key())
         return False
-    state.lexicon = staged.lexicon
-    state.compiled = staged.compiled
-    state.refused = staged.refused
-    state.fresh_type_counter = staged.fresh_type_counter
-    state.fresh_var_counter = staged.fresh_var_counter
-    state.merged_constants = staged.merged_constants
-    state.paradigms = staged.paradigms
-    state.revisions = staged.revisions
+    vars(state).update(vars(staged))
     state.revisions.append(note)
     return True
 
@@ -359,14 +322,11 @@ def factor(state: LearnerState, alignment: Alignment) -> LearnerState:
 
 
 def _stage_factor(state: LearnerState, al: Alignment):
-    if al.kind == "pair" and (isinstance(al.target, Sign)
-                              or isinstance(al.source, Sign)):
+    if al.kind == "pair":
         return _stage_pair(state, al)
-    if al.kind in ("pair", "analogy"):
-        return _stage_analogy(state, al) or _stage_slot(state, al)
     if al.kind == "window":
         return _stage_window(state, al)
-    return None
+    return _stage_analogy(state, al) or _stage_slot(state, al)
 
 
 def _as_pseudo_sign(x, start_symbol="c") -> Sign:
@@ -389,18 +349,14 @@ def _contiguous_split(tokens, template_span):
 def _stage_pair(state: LearnerState, al: Alignment):
     a = _as_pseudo_sign(al.source, state.lexicon.start_symbol)
     b = _as_pseudo_sign(al.target, state.lexicon.start_symbol)
-    if a.stype.features != b.stype.features:
+    if a.stype.features != b.stype.features or al.semantic_residues is None:
         return None
-    diff = semantic_diff(a.semantics, b.semantics)
-    if diff is None:
-        return None
-    sem_a, sem_b = diff
+    sem_a, sem_b = al.semantic_residues
     vacuous = alpha_equivalent(sem_a, a.semantics)   # nothing shared in form
     ta, tb = a.exponent.split(), b.exponent.split()
-    blocks = common_blocks(ta, tb)
     # template = the largest shared block that leaves a contiguous residue
     chosen = None
-    for i, j, n in sorted(blocks, key=lambda blk: (-blk[2], blk[0])):
+    for i, j, n in sorted(al.blocks, key=lambda blk: (-blk[2], blk[0])):
         split_a = _contiguous_split(ta, (i, n))
         split_b = _contiguous_split(tb, (j, n))
         if split_a is None or split_b is None or split_a[1] != split_b[1]:
@@ -467,11 +423,7 @@ def _stage_window(state: LearnerState, al: Alignment):
     entry: Sign = al.target
     ump: UMP = al.source
     te = entry.exponent.split()
-    tu = ump.exponent.split()
-    blocks = common_blocks(tu, te)
-    if not blocks:
-        return None
-    gaps = _gaps(tu, te, blocks)
+    gaps = _gaps(ump.exponent.split(), te, al.blocks)
     entry_gaps = [(i, ge) for i, (_, ge) in enumerate(gaps) if ge]
     if len(entry_gaps) != 1:
         return None
@@ -484,7 +436,7 @@ def _stage_window(state: LearnerState, al: Alignment):
         if i != pos and gu and 0 < i < len(gaps) - 1:
             return None
     template = []
-    for _, j, n in blocks:
+    for _, j, n in al.blocks:
         template.extend(te[j:j + n])
     # unwrap the entry's template semantics
     body, binders = entry.semantics, set()
@@ -626,22 +578,19 @@ def _candidate_alignments(state: LearnerState, ump: UMP):
     endorsed pairs, best (largest shared span) first; entries outrank
     endorsed pairs at equal score."""
     found = []
+    features = _as_pseudo_sign(ump).stype.features
     for rank, entry in enumerate(state.lexicon.entries):
         al = align(ump, entry)
         if al is None:
             continue
-        entry_toks = entry.exponent.split()
-        if al.residue_exponents[1]:
-            al.kind = ("pair" if _as_pseudo_sign(ump).stype.features
-                       == entry.stype.features else "window")
-        else:
-            continue        # the entry is fully shared: nothing to factor
+        if entry.stype.features != features:
+            al.kind = "window"
         found.append((al.score, 0, rank, al))
     for rank, old in enumerate(state.endorsed):
         if old.exponent == ump.exponent:
             continue
         al = align(ump, old)
-        if al is None or not al.residue_exponents[0]:
+        if al is None:
             continue
         al.kind = "analogy"
         found.append((al.score, 1, rank, al))
@@ -659,61 +608,50 @@ def ingest(state: LearnerState, ump: UMP) -> LearnerState:
         return state
     progress, rounds = True, 0
     while not state.derivable(ump) and progress and rounds < 25:
-        progress = False
         rounds += 1
-        before = state.lexicon._keys.keys()
-        for al in _candidate_alignments(state, ump):
-            if al.key() in state.blacklist:
-                continue
-            staged = state.clone()
-            note = _stage_factor(staged, al)
-            if note is None:
-                continue
-            if staged.lexicon._keys.keys() == before:
-                state.blacklist.add(al.key())
-                continue
-            if _apply_gate(state, staged, al, note):
-                progress = True
-                break
+        progress = _revise(state, _candidate_alignments(state, ump))
     if not state.derivable(ump):
-        whole = Sign(ump.exponent,
-                     SyntacticType(False, (Feature(BASE, state.lexicon.start_symbol),)),
-                     ump.meaning)
-        state.lexicon = state.lexicon.with_entry(whole)
+        state.lexicon = state.lexicon.with_entry(
+            _as_pseudo_sign(ump, state.lexicon.start_symbol))
         state.revisions.append(f"stored whole pair {ump!r}")
     state.endorsed.append(ump)
     _generalize(state)
     return state
 
 
+def _revise(state: LearnerState, alignments) -> bool:
+    """Stage the alignments in order, skipping blacklisted ones, and commit
+    the first revision that passes the gate; a revision that leaves the
+    lexicon as it was is blacklisted."""
+    before = state.lexicon._keys.keys()
+    for al in alignments:
+        if al.key() in state.blacklist:
+            continue
+        staged = state.clone()
+        note = _stage_factor(staged, al)
+        if note is None:
+            continue
+        if staged.lexicon._keys.keys() == before:
+            state.blacklist.add(al.key())
+        elif _apply_gate(state, staged, al, note):
+            return True
+    return False
+
+
 def _generalize(state: LearnerState):
-    """Token-phase factoring among entry pairs until no pair aligns (the
-    second-pass segmentation); character-phase splits are left to repair."""
-    progress, rounds = True, 0
-    while progress and rounds < 25:
-        progress = False
-        rounds += 1
-        candidates = []
+    """Factoring among entries of one type until no pair of them aligns (the
+    second-pass segmentation); character stems are left to repair."""
+    for _round in range(25):
         entries = state.lexicon.entries
+        candidates = []
         for i, j in itertools.combinations(range(len(entries)), 2):
-            a, b = entries[i], entries[j]
-            if a.stype != b.stype:
-                continue
-            al = align(a, b)
-            if al is None or al.kind != "pair":
-                continue
-            if not al.residue_exponents[0] or not al.residue_exponents[1]:
-                continue
-            candidates.append((al.score, i, j, al))
+            if entries[i].stype == entries[j].stype:
+                al = align(entries[i], entries[j])
+                if al is not None:
+                    candidates.append((al.score, i, j, al))
         candidates.sort(key=lambda item: (-item[0], item[1], item[2]))
-        for *_r, al in candidates:
-            if al.key() in state.blacklist:
-                continue
-            staged = state.clone()
-            note = _stage_factor(staged, al)
-            if note and _apply_gate(state, staged, al, note):
-                progress = True
-                break
+        if not _revise(state, [al for *_r, al in candidates]):
+            return
 
 
 def express(state: LearnerState, meaning: LambdaTerm) -> ProduceResult:

@@ -477,6 +477,13 @@ def test_derivations_are_the_bounded_closures(text, sentence):
                     and alpha_canonical(t.sign.semantics) == key)
         assert derivation_record(tree) == derivation_record(twin)
 
+
+def test_replay_deep_derivation():
+    # depth 60 nests the tree more than 800 levels deep
+    sentence = " ".join(["the rat eats that"] * 60 + ["the mouse eats cheese"])
+    [tree] = derivations(compile_grammar(load_lexicon(EMBEDDING_TEXT)), sentence)
+    assert expression_key(replay(tree)) == expression_key(tree.expression)
+
 # --- production -------------------------------------------------------------------
 
 def test_produce_gold():
