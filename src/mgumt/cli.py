@@ -54,7 +54,7 @@ def cmd_parse(args) -> int:
     result = recognize(grammar, args.input)
     print(result.render())
     if not grammar.start_categories:
-        empty = ParseRejected(0, frozenset(), grammar.lexicon.start_symbol)
+        empty = ParseRejected(0, frozenset(), empty_language=True)
         print(f"reject\t{empty}")
         return 1
     if not result.accepted:

@@ -23,6 +23,8 @@ from .terms import (
 
 BASE, SEL, POS, NEG = "base", "sel", "pos", "neg"
 
+START = "c"     # the category of a sentence
+
 _PREFIX = {SEL: "=", POS: "+", NEG: "-"}
 _BY_PREFIX = {"=": SEL, "+": POS, "-": NEG}
 
@@ -94,10 +96,6 @@ def check_lexical_type(t: SyntacticType) -> bool:
     return all(f.kind == NEG for f in feats[i:])
 
 
-def tokens(exponent: str) -> list[str]:
-    return exponent.split()
-
-
 def fuse_tokens(toks) -> list[str]:
     """Concatenate token lists, gluing suffix tokens onto the previous stem."""
     out = []
@@ -110,7 +108,7 @@ def fuse_tokens(toks) -> list[str]:
 
 
 def concat_exponents(first: str, second: str) -> str:
-    return " ".join(fuse_tokens(tokens(first) + tokens(second)))
+    return " ".join(fuse_tokens(first.split() + second.split()))
 
 
 @dataclass(frozen=True)
@@ -243,7 +241,6 @@ def reduce_step(a: Expression) -> Expression:
 @dataclass(frozen=True)
 class Lexicon:
     entries: tuple[Sign, ...]
-    start_symbol: str = "c"
     # each entry by its α-canonical key, in entry order
     _keys: dict = field(init=False, repr=False, compare=False)
 
@@ -276,11 +273,10 @@ class Lexicon:
         return self._keyed({k: e for k, e in self._keys.items() if k not in drop})
 
     def _keyed(self, keys: dict) -> "Lexicon":
-        """The lexicon of keys' entries, in order, with this start symbol:
-        the entries keep the keys they already have."""
+        """The lexicon of keys' entries, in order: the entries keep the
+        keys they already have."""
         lex = object.__new__(Lexicon)
         object.__setattr__(lex, "entries", tuple(keys.values()))
-        object.__setattr__(lex, "start_symbol", self.start_symbol)
         object.__setattr__(lex, "_keys", keys)
         return lex
 
@@ -298,14 +294,14 @@ def parse_lexicon_line(line: str) -> Sign:
                 parse_term(sem))
 
 
-def load_lexicon(text: str, start_symbol: str = "c") -> Lexicon:
+def load_lexicon(text: str) -> Lexicon:
     entries = []
     for raw in text.splitlines():
         line = raw.strip("\n")
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         entries.append(parse_lexicon_line(line))
-    return Lexicon(tuple(entries), start_symbol)
+    return Lexicon(tuple(entries))
 
 
 def save_lexicon(lex: Lexicon) -> str:
@@ -412,12 +408,12 @@ class DerivationSearch:
         return [t.sign for t in self.complete]
 
 
-def is_complete(expr: Expression, start_symbol: str) -> bool:
+def is_complete(expr: Expression) -> bool:
     if len(expr.signs) != 1:
         return False
     head = expr.head
     return (not head.stype.lexical
-            and head.stype.features == (Feature(BASE, start_symbol),)
+            and head.stype.features == (Feature(BASE, START),)
             and is_normal(head.semantics))
 
 
@@ -508,7 +504,7 @@ def complete_derivations(lex: Lexicon,
         if best.get(expression_key(tree.expression)) is not tree:
             continue
         trees.append(tree)
-        if is_complete(tree.expression, lex.start_symbol):
+        if is_complete(tree.expression):
             k = (tree.sign.exponent, alpha_canonical(tree.sign.semantics))
             if k not in complete_keys:
                 complete_keys.add(k)

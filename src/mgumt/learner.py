@@ -30,14 +30,14 @@ from dataclasses import dataclass, field, replace
 # complete_derivations stays importable here: perfbench/spans.py traces it
 # by this name
 from .grammar import (  # noqa: F401
-    BASE, NEG, POS, SEL, Feature, Lexicon, Sign, SyntacticType,
+    BASE, NEG, POS, SEL, START, Feature, Lexicon, Sign, SyntacticType,
     complete_derivations, sign_key,
 )
 from .mcfg import CompiledGrammar, compile_grammar
 from .terms import (
     EMPTY, Abs, App, LambdaTerm, SubtermNotFound, Var, VariableClash,
     VariableName, abstract, all_names, alpha_canonical, alpha_equivalent,
-    beta_reduce, free_vars, render_term, substitute, subterms, var_name,
+    beta_reduce, free_vars, render_term, substitute, subterms,
 )
 from .transducer import UMP, ProduceResult, derivation, match_meaning, produce
 
@@ -213,13 +213,11 @@ class LearnerState:
                        revisions=list(self.revisions),
                        blacklist=set(self.blacklist))
 
-    def fresh_base(self) -> str:
+    def fresh_type(self, prefix: str) -> str:
+        """A feature name not used before: the prefix (t for a base, a for
+        a licensee) and the next count."""
         self.fresh_type_counter += 1
-        return f"t{self.fresh_type_counter}"
-
-    def fresh_licensee(self) -> str:
-        self.fresh_type_counter += 1
-        return f"a{self.fresh_type_counter}"
+        return f"{prefix}{self.fresh_type_counter}"
 
     def fresh_var(self, *terms) -> VariableName:
         taken = set()
@@ -227,7 +225,7 @@ class LearnerState:
             taken |= all_names(t)
         while True:
             self.fresh_var_counter += 1
-            cand = var_name(f"w{self.fresh_var_counter}")
+            cand = VariableName(f"w{self.fresh_var_counter}")
             if cand not in taken:
                 return cand
 
@@ -329,10 +327,10 @@ def _stage_factor(state: LearnerState, al: Alignment):
     return _stage_analogy(state, al) or _stage_slot(state, al)
 
 
-def _as_pseudo_sign(x, start_symbol="c") -> Sign:
+def _as_pseudo_sign(x) -> Sign:
     if isinstance(x, Sign):
         return x
-    return Sign(x.exponent, SyntacticType(False, (Feature(BASE, start_symbol),)),
+    return Sign(x.exponent, SyntacticType(False, (Feature(BASE, START),)),
                 x.meaning)
 
 
@@ -347,8 +345,8 @@ def _contiguous_split(tokens, template_span):
 
 
 def _stage_pair(state: LearnerState, al: Alignment):
-    a = _as_pseudo_sign(al.source, state.lexicon.start_symbol)
-    b = _as_pseudo_sign(al.target, state.lexicon.start_symbol)
+    a = _as_pseudo_sign(al.source)
+    b = _as_pseudo_sign(al.target)
     if a.stype.features != b.stype.features or al.semantic_residues is None:
         return None
     sem_a, sem_b = al.semantic_residues
@@ -367,8 +365,6 @@ def _stage_pair(state: LearnerState, al: Alignment):
     if chosen is None:
         return None
     i, n, residue_a, residue_b, res_before = chosen
-    template = ta[i:i + n]
-    fresh = state.fresh_base()
     if vacuous:
         template_sem = EMPTY
     else:
@@ -380,21 +376,28 @@ def _stage_pair(state: LearnerState, al: Alignment):
             return None
         if not alpha_equivalent(template_sem, other):
             return None
-    new_entries = [
-        _entry(residue_a, len(residue_a) == 1, [Feature(BASE, fresh)], sem_a),
-        _entry(residue_b, len(residue_b) == 1, [Feature(BASE, fresh)], sem_b),
-        _entry(template, not res_before,
-               [Feature(SEL, fresh), *a.stype.features], template_sem),
-    ]
-    lex = state.lexicon
-    removed = [x for x in (al.source, al.target)
-               if isinstance(x, Sign) and lex.contains(x)]
-    lex = lex.without(removed)
+    made = _split(state, [(residue_a, sem_a), (residue_b, sem_b)],
+                  ta[i:i + n], res_before, a.stype.features, template_sem,
+                  [x for x in (al.source, al.target) if isinstance(x, Sign)])
+    return f"factored {a.exponent!r} / {b.exponent!r} into {made}"
+
+
+def _split(state: LearnerState, residues, template, res_before: bool,
+           features, template_sem: LambdaTerm, drop) -> list[str]:
+    """Replace the entries in drop by one entry of a fresh base type per
+    residue, each given as (tokens, meaning), and a template entry that
+    selects that type before the given features; returns the new entries'
+    exponents."""
+    fresh = state.fresh_type("t")
+    new_entries = [_entry(tokens, len(tokens) == 1, [Feature(BASE, fresh)], sem)
+                   for tokens, sem in residues]
+    new_entries.append(_entry(template, not res_before,
+                              [Feature(SEL, fresh), *features], template_sem))
+    lex = state.lexicon.without(drop)
     for e in new_entries:
         lex = lex.with_entry(e)
     state.lexicon = lex
-    return (f"factored {a.exponent!r} / {b.exponent!r} into "
-            f"{[e.exponent or 'ε' for e in new_entries]}")
+    return [e.exponent or "ε" for e in new_entries]
 
 
 def _match_template(body: LambdaTerm, hole: LambdaTerm, wildcards,
@@ -454,25 +457,15 @@ def _stage_window(state: LearnerState, al: Alignment):
             break
     if hole is None:
         return None
-    fresh = state.fresh_base()
     try:
         template_sem = abstract(entry.semantics, hole,
                                 state.fresh_var(entry.semantics))
     except (SubtermNotFound, VariableClash, ValueError):
         return None
     res_before = pos == 0      # entry residue precedes the template block
-    new_entries = [
-        _entry(residue_e, len(residue_e) == 1, [Feature(BASE, fresh)], hole),
-        _entry(residue_u, len(residue_u) == 1, [Feature(BASE, fresh)], filled),
-        _entry(template, not res_before,
-               [Feature(SEL, fresh), *entry.stype.features], template_sem),
-    ]
-    lex = state.lexicon.without([entry])
-    for e in new_entries:
-        lex = lex.with_entry(e)
-    state.lexicon = lex
-    return (f"segmented entry {entry.exponent!r} against {ump.exponent!r}: "
-            f"{[e.exponent or 'ε' for e in new_entries]}")
+    made = _split(state, [(residue_e, hole), (residue_u, filled)], template,
+                  res_before, entry.stype.features, template_sem, [entry])
+    return f"segmented entry {entry.exponent!r} against {ump.exponent!r}: {made}"
 
 
 def _size(t):
@@ -611,8 +604,7 @@ def ingest(state: LearnerState, ump: UMP) -> LearnerState:
         rounds += 1
         progress = _revise(state, _candidate_alignments(state, ump))
     if not state.derivable(ump):
-        state.lexicon = state.lexicon.with_entry(
-            _as_pseudo_sign(ump, state.lexicon.start_symbol))
+        state.lexicon = state.lexicon.with_entry(_as_pseudo_sign(ump))
         state.revisions.append(f"stored whole pair {ump!r}")
     state.endorsed.append(ump)
     _generalize(state)
@@ -656,7 +648,7 @@ def _generalize(state: LearnerState):
 
 def express(state: LearnerState, meaning: LambdaTerm) -> ProduceResult:
     """What the learner would say for the meaning (first derivation found)."""
-    return produce(state.lexicon, beta_reduce(meaning))
+    return produce(state.lexicon, meaning)
 
 
 # --- repair ----------------------------------------------------------------------
@@ -707,8 +699,8 @@ def _paradigm_pairs(state):
 def _stage_morpheme_split(state: LearnerState, stem: Sign, plural: Sign):
     suffix = plural.exponent[len(stem.exponent):]
     b = stem.stype.features[0].ident
-    licensee = state.fresh_licensee()
-    layer = state.fresh_base()
+    licensee = state.fresh_type("a")
+    layer = state.fresh_type("t")
     lex = state.lexicon.without([plural])
     # the stem now awaits number licensing
     new_stem = Sign(stem.exponent,
@@ -748,23 +740,25 @@ def _stage_morpheme_split(state: LearnerState, stem: Sign, plural: Sign):
             f"rerouted {rerouted}")
 
 
-def _regular_forms(state, record: ParadigmRecord):
+def _unseen_cells(state, record: ParadigmRecord):
     """(stem entry, fused surface form) for every regular cell of a
-    paradigm."""
+    paradigm whose form no endorsed utterance has."""
     out = []
     for e in state.lexicon.entries:
         feats = e.stype.features
         if (len(feats) == 2 and feats[0] == Feature(BASE, record.stem_base)
                 and feats[1].kind == NEG and feats[1].ident == record.licensee):
             for suf in record.suffixes:
-                out.append((e, e.exponent + suf[1:]))
+                form = e.exponent + suf[1:]
+                if not _attested_token(state, form):
+                    out.append((e, form))
     return out
 
 
 def _stage_block_cell(state: LearnerState, stem: Sign, record: ParadigmRecord):
     """Retire the regular affix for one stem: the stem moves to a private
     licensee realized only by the silent number entry."""
-    licensee = state.fresh_licensee()
+    licensee = state.fresh_type("a")
     feats = (Feature(BASE, record.stem_base), Feature(NEG, licensee))
     lex = state.lexicon.without([stem]).with_entry(
         Sign(stem.exponent, SyntacticType(True, feats), stem.semantics))
@@ -781,10 +775,9 @@ def _r2_after_addition(state: LearnerState, added: Sign):
     for record in state.paradigms:
         if added.stype.features != (Feature(BASE, record.result_base),):
             continue
-        for stem, form in _regular_forms(state, record):
-            if not _attested_token(state, form):
-                note = _stage_block_cell(state, stem, record)
-                state.revisions.append(note + f" (irregular {added.exponent!r})")
+        for stem, _form in _unseen_cells(state, record):
+            note = _stage_block_cell(state, stem, record)
+            state.revisions.append(note + f" (irregular {added.exponent!r})")
 
 
 def repair(state: LearnerState, punished: tuple[str, LambdaTerm]) -> LearnerState:
@@ -795,27 +788,23 @@ def repair(state: LearnerState, punished: tuple[str, LambdaTerm]) -> LearnerStat
     for stem, plural in _paradigm_pairs(state):
         staged = state.clone()
         note = _stage_morpheme_split(staged, stem, plural)
-        if not staged.covers_endorsed():
-            continue
         if staged.says(utterance, meaning) \
                 and not _overgeneralization_waived(staged, utterance):
             continue
-        _apply_gate(state, staged, None, "repair R1: " + note)
-        return state
+        if _apply_gate(state, staged, None, "repair R1: " + note):
+            return state
     # R2: suppletion blocking, when an irregular alternative already exists
     for record in state.paradigms:
         irregulars = [e for e in state.lexicon.entries
                       if e.stype.features == (Feature(BASE, record.result_base),)]
         if not irregulars:
             continue
-        for stem, form in _regular_forms(state, record):
-            if form in utterance.split() and not _attested_token(state, form):
+        for stem, form in _unseen_cells(state, record):
+            if form in utterance.split():
                 staged = state.clone()
                 note = _stage_block_cell(staged, stem, record)
-                if not staged.covers_endorsed():
-                    continue
-                _apply_gate(state, staged, None, "repair R2: " + note)
-                return state
+                if _apply_gate(state, staged, None, "repair R2: " + note):
+                    return state
     state.revisions.append(f"no repair found for {utterance!r}; logged")
     raise NoRepairFound(utterance)
 
@@ -825,8 +814,5 @@ def _overgeneralization_waived(state, utterance: str) -> bool:
     counter-evidence; a still-producible punished string is tolerated iff
     every offending surface form is such an unseen regular cell."""
     toks = set(utterance.split())
-    for record in state.paradigms:
-        for _stem, form in _regular_forms(state, record):
-            if form in toks and not _attested_token(state, form):
-                return True
-    return False
+    return any(form in toks for record in state.paradigms
+               for _stem, form in _unseen_cells(state, record))

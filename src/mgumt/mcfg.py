@@ -22,11 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import total_ordering
-from itertools import groupby
+from itertools import groupby, product
 
 from .grammar import (
-    BASE, NEG, POS, SEL, Expression, Feature, FeatureMismatch, Lexicon, Sign,
-    SyntacticType, fuse_tokens, merge, move, render_features,
+    BASE, NEG, POS, SEL, START, Expression, Feature, FeatureMismatch,
+    Lexicon, Sign, SyntacticType, fuse_tokens, merge, move, render_features,
 )
 from .terms import EMPTY
 
@@ -117,7 +117,7 @@ class McfgRule:
                 plan[r][c] = (p, bytes((j,)) if len(comp) > 1 else b"")
         object.__setattr__(self, "plan", tuple(map(tuple, plan)))
 
-    def var_names(self) -> dict[Slot, str]:
+    def slot_names(self) -> dict[Slot, str]:
         names = {}
         k = 0
         for r, cat in enumerate(self.rhs):
@@ -134,7 +134,7 @@ def render_rule(rule: McfgRule) -> str:
     if rule.is_axiom:
         literal = rule.entry.exponent if rule.entry.exponent else "ε"
         return f"{rule.lhs!r}({literal})"
-    names = rule.var_names()
+    names = rule.slot_names()
     lhs_args = ", ".join(
         " ".join(names[s] for s in comp) for comp in rule.pattern)
     rhs = " ".join(
@@ -298,7 +298,7 @@ def compile_grammar(lex: Lexicon) -> CompiledGrammar:
         elif lead.kind == POS:
             derive(move, (k,))
 
-    start = (Feature(BASE, lex.start_symbol),)
+    start = (Feature(BASE, START),)
     starts = [c for c in (McfgCategory(False, (start,)),
                           McfgCategory(True, (start,))) if c in done]
     by_lhs: dict[McfgCategory, list[McfgRule]] = {}
@@ -357,7 +357,7 @@ def enumerate_strings(grammar: CompiledGrammar, max_steps: int) -> set[str]:
             pools = [table.get(c, ()) for c in rule.rhs]
             if any(not pool for pool in pools):
                 continue
-            for combo in _product(pools):
+            for combo in product(*pools):
                 steps = 1 + sum(s for _, s in combo)
                 if steps > max_steps:
                     continue
@@ -374,20 +374,10 @@ def enumerate_strings(grammar: CompiledGrammar, max_steps: int) -> set[str]:
                     bucket.add(item)
                     changed = True
     out = set()
-    start = McfgCategory(False, ((Feature(BASE, grammar.lexicon.start_symbol),),))
+    start = McfgCategory(False, ((Feature(BASE, START),),))
     for parts, _ in table.get(start, ()):
         out.add(parts[0])
     return out
-
-
-def _product(pools):
-    if not pools:
-        yield ()
-        return
-    first, rest = pools[0], pools[1:]
-    for item in list(first):
-        for tail in _product(rest):
-            yield (item,) + tail
 
 
 def _join(pieces):

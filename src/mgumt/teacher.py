@@ -168,14 +168,13 @@ def validate_script(gold: GoldGrammar, script: list[ScriptLine]):
                     f"({verdict.value})")
 
 
-def run_session(gold: GoldGrammar, script: list[ScriptLine] | str,
-                learner: LearnerState | None = None) -> tuple[SessionLog, LearnerState]:
-    """Execute the script: teach feeds the learner, probe makes it speak and
-    routes the verdict back (reject triggers repair)."""
+def run_session(gold: GoldGrammar,
+                script: list[ScriptLine] | str) -> tuple[SessionLog, LearnerState]:
+    """Execute the script on a fresh learner: teach feeds the learner, probe
+    makes it speak and routes the verdict back (reject triggers repair)."""
     if isinstance(script, str):
         script = parse_script(script)
-    if learner is None:
-        learner = LearnerState()
+    learner = LearnerState()
     validate_script(gold, script)
     log = SessionLog()
     last_verdict: Verdict | None = None

@@ -10,7 +10,7 @@ fragment; reduction therefore never discards free variables.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class NonTerminating(Exception):
@@ -31,40 +31,16 @@ class TermSyntaxError(Exception):
         self.position = position
 
 
-# Variable kinds are presentation metadata only; equality and hashing use the
-# name text alone so reduction is blind to them.
-KINDS = ("predicate-constant", "individual-constant",
-         "individual-variable", "term-variable")
-
-
 @dataclass(frozen=True)
 class VariableName:
     text: str
-    kind: str = field(default="individual-constant", compare=False)
 
     def __post_init__(self):
         if not self.text or not self.text[0].isalpha():
             raise ValueError(f"bad variable name: {self.text!r}")
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown variable kind: {self.kind!r}")
 
     def __repr__(self):
         return self.text
-
-
-def classify(text: str) -> str:
-    """Guess a display kind for a bare name, mirroring the usual notation:
-    single uppercase letters are term variables, late-alphabet single
-    lowercase letters are individual variables, everything else a constant."""
-    if len(text) <= 2 and text[0].isupper():
-        return "term-variable"
-    if len(text) <= 2 and text[0] in "stuvwxyz":
-        return "individual-variable"
-    return "individual-constant"
-
-
-def var_name(text: str) -> VariableName:
-    return VariableName(text, classify(text))
 
 
 class LambdaTerm:
@@ -124,7 +100,7 @@ EMPTY = _Empty()
 
 
 def v(text: str) -> Var:
-    return Var(var_name(text))
+    return Var(VariableName(text))
 
 
 # Terms never change, so what is computed from one is kept on it, as a
@@ -191,7 +167,7 @@ def fresh_name(base: VariableName, avoid) -> VariableName:
     stem = base.text.rstrip("0123456789")
     i = 1
     while True:
-        cand = VariableName(f"{stem}{i}", base.kind)
+        cand = VariableName(f"{stem}{i}")
         if cand not in avoid:
             return cand
         i += 1
@@ -286,7 +262,7 @@ def alpha_canonical(t: LambdaTerm) -> LambdaTerm:
         if isinstance(t, App):
             return App(walk(t.fun, env), walk(t.arg, env))
         if isinstance(t, Abs):
-            new = VariableName(f"v{counter[0]}", t.binder.kind)
+            new = VariableName(f"v{counter[0]}")
             counter[0] += 1
             inner = dict(env)
             inner[t.binder] = new
@@ -385,7 +361,7 @@ def parse_term(text: str) -> LambdaTerm:
             pos += 1
             body = parse_expr()
             try:
-                return Abs(var_name(name), body)
+                return Abs(VariableName(name), body)
             except ValueError as exc:
                 raise TermSyntaxError(str(exc), pos) from None
         if c == "(":

@@ -43,7 +43,8 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from .grammar import (
-    DerivationTree, Lexicon, _apply_rule, _normalized, complete_derivations,
+    START, DerivationTree, Lexicon, _apply_rule, _normalized,
+    complete_derivations,
 )
 from .mcfg import (
     ROOT, CompiledGrammar, McfgCategory, McfgRule, NodeIndex,
@@ -60,18 +61,17 @@ MAX_STEPS = 10_000
 
 class ParseRejected(Exception):
     def __init__(self, position: int, expected: frozenset[str],
-                 start: str | None = None):
-        """`start` names the start symbol when the grammar derives no
-        sentence at all, which no position or expected token can say."""
-        if start is None:
+                 empty_language: bool = False):
+        """`empty_language` says the grammar derives no sentence of category
+        `START` at all, which no position or expected token can say."""
+        if empty_language:
+            message = f"the lexicon derives no sentence of category {START}"
+        else:
             exp = ", ".join(sorted(expected)) or "end of input"
             message = f"rejected at token {position}; expected one of: {exp}"
-        else:
-            message = f"the lexicon derives no sentence of category {start}"
         super().__init__(message)
         self.position = position
         self.expected = expected
-        self.start = start
 
 
 class Unrealizable(Exception):
@@ -185,7 +185,7 @@ def _scan_tokens(axiom: McfgRule, input_toks, suffix_tokens):
     return input_toks[len(want):]
 
 
-def _parses(grammar: CompiledGrammar, utterance, max_steps: int):
+def _parses(grammar: CompiledGrammar, utterance):
     """Top-down search with chronological backtracking, depth first over an
     explicit stack: start categories in grammar order, then at each state
     axioms before expansions, each in grammar order.
@@ -198,14 +198,14 @@ def _parses(grammar: CompiledGrammar, utterance, max_steps: int):
     all been explored without an accept, the state is dead, and a later
     move into it is skipped: it would find no path, and only the failures
     already recorded.  Each scan or expansion into a state not known dead
-    costs one of `max_steps`, summed over the search; so rejections take
+    costs one of `MAX_STEPS`, summed over the search; so rejections take
     polynomial time, while exponentially many accepting paths still run
     out of steps.
     """
     toks = tuple(utterance.split() if isinstance(utterance, str) else utterance)
     length = len(toks)
     suffix_tokens = grammar.suffix_tokens
-    budget = max_steps
+    budget = MAX_STEPS
     failed: dict[int, set[str]] = {}    # tokens consumed -> tokens expected
     steps: list[Step] = []
     # The remaining input is a suffix of toks but for its first token, which
@@ -248,7 +248,7 @@ def _parses(grammar: CompiledGrammar, utterance, max_steps: int):
         if rule is not None:
             budget -= 1
         if budget <= 0:
-            raise ParserBudget(f"no parse within {max_steps} steps")
+            raise ParserBudget(f"no parse within {MAX_STEPS} steps")
         consumed = length - len(left)
         if not queue:
             if left:
@@ -280,11 +280,10 @@ def _parses(grammar: CompiledGrammar, utterance, max_steps: int):
     return position, frozenset(failed.get(position, ()))
 
 
-def recognize(grammar: CompiledGrammar, utterance,
-              max_steps: int = MAX_STEPS) -> RecognizeResult:
+def recognize(grammar: CompiledGrammar, utterance) -> RecognizeResult:
     """The first accepting path of the top-down search, or the deepest
     failure if there is none."""
-    paths = _parses(grammar, utterance, max_steps)
+    paths = _parses(grammar, utterance)
     try:
         return RecognizeResult(True, next(paths))
     except StopIteration as end:
@@ -325,19 +324,17 @@ class UnderstandResult:
         return "\n".join(f"{i}\t{s.render()}" for i, s in enumerate(self.steps, 1))
 
 
-def understand(grammar: CompiledGrammar, utterance,
-               max_steps: int = MAX_STEPS) -> UnderstandResult:
+def understand(grammar: CompiledGrammar, utterance) -> UnderstandResult:
     """Parse, then compose the meaning along the accepted derivation."""
-    parse = recognize(grammar, utterance, max_steps)
+    parse = recognize(grammar, utterance)
     if not parse.accepted:
         raise ParseRejected(parse.position, parse.expected,
-                            None if grammar.start_categories
-                            else grammar.lexicon.start_symbol)
-    meaning, deltas = _compose(parse.steps, max_steps)
+                            empty_language=not grammar.start_categories)
+    meaning, deltas = _compose(parse.steps)
     return UnderstandResult(meaning, parse, deltas)
 
 
-def _compose(path: list[Step], max_steps: int) -> tuple[LambdaTerm, list[tuple]]:
+def _compose(path: list[Step]) -> tuple[LambdaTerm, list[tuple]]:
     """The meaning of an accepting path, and the deltas of its semantic
     queue.
 
@@ -360,7 +357,7 @@ def _compose(path: list[Step], max_steps: int) -> tuple[LambdaTerm, list[tuple]]
     # each prediction's semantic item per component (None where empty), keyed
     # by id(): cheaper than hashing a QueueItem, and the path keeps them
     held: dict[int, tuple[SemItem | None, ...]] = {}
-    budget = max_steps
+    budget = MAX_STEPS
 
     def settle(item: SemItem) -> SemItem:
         nonlocal budget
@@ -519,8 +516,8 @@ def _readings(grammar: CompiledGrammar, utterance):
     """(meaning, path) for the first accepting path of each α-equivalence
     class of meanings, in the order the parser accepts them."""
     readings: dict[LambdaTerm, tuple] = {}
-    for path in _parses(grammar, utterance, MAX_STEPS):
-        meaning, _deltas = _compose(path, MAX_STEPS)
+    for path in _parses(grammar, utterance):
+        meaning, _deltas = _compose(path)
         readings.setdefault(alpha_canonical(meaning), (meaning, path))
     return readings.values()
 
@@ -549,9 +546,9 @@ def match_meaning(grammar: CompiledGrammar, utterance,
     matches, it has composed every one, as `all_meanings` does."""
     target = alpha_canonical(meaning)
     accepted = False
-    for path in _parses(grammar, utterance, MAX_STEPS):
+    for path in _parses(grammar, utterance):
         accepted = True
-        composed, _deltas = _compose(path, MAX_STEPS)
+        composed, _deltas = _compose(path)
         if alpha_canonical(composed) == target:
             return path, True
     return None, accepted

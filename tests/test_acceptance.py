@@ -22,9 +22,9 @@ from mgumt.learner import LearnerState, express, ingest, repair
 from mgumt.mcfg import compile_grammar, enumerate_strings, render_rule
 from mgumt.teacher import GoldGrammar, Verdict, judge, run_session
 from mgumt.terms import (
-    EMPTY, Abs, App, NonTerminating, SubtermNotFound, Var, abstract,
-    all_names, alpha_equivalent, beta_reduce, free_vars, parse_term,
-    subterms, substitute, v, var_name,
+    EMPTY, Abs, App, NonTerminating, SubtermNotFound, Var, VariableName,
+    abstract, all_names, alpha_equivalent, beta_reduce, free_vars,
+    parse_term, subterms, substitute, v,
 )
 from mgumt.transducer import UMP, Unrealizable, produce, recognize, understand
 
@@ -230,7 +230,7 @@ def random_term(rng, depth, free):
     if kind == "app":
         return App(random_term(rng, depth - 1, free),
                    random_term(rng, depth - 1, free))
-    binder = var_name(f"b{rng.randrange(4)}_{depth}")
+    binder = VariableName(f"b{rng.randrange(4)}_{depth}")
     body = random_term(rng, depth - 1, free | {binder})
     if binder not in free_vars(body):
         body = App(body, Var(binder))
@@ -259,7 +259,7 @@ def test_criterion_8a_lambda_properties():
         cands = [s for s in subterms(t)
                  if s is not EMPTY and free_vars(s) <= free_vars(t)]
         s = cands[rng.randrange(len(cands))]
-        fresh = var_name("zz9")
+        fresh = VariableName("zz9")
         if fresh not in all_names(t):
             try:
                 tpl = abstract(t, s, fresh)

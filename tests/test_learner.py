@@ -359,9 +359,10 @@ def test_fixture_session_compiles_each_lexicon_once(monkeypatch):
 
 
 def test_fixture_session_parses_only_what_a_revision_can_break(monkeypatch):
-    # 49 derivable calls and one repair check make 22 parses from `says`
-    # (a witness answers 20 queries, a refusal kept for the same grammar 4,
-    # and the empty lexicon 4), and the slot analogy's two lookups 2 more
+    # 43 derivable calls and one repair check make 22 parses from `says`
+    # (a witness answers 14 queries, a refusal kept for the same grammar 4,
+    # and the empty lexicon 4), and the slot analogy's two lookups 2 more;
+    # repair checks each committed revision's endorsed pairs once
     parses, calls = [], []
     real_parse, real_derivable = match_meaning, LearnerState.derivable
 
@@ -376,7 +377,7 @@ def test_fixture_session_parses_only_what_a_revision_can_break(monkeypatch):
     monkeypatch.setattr("mgumt.learner.match_meaning", parse)
     monkeypatch.setattr(LearnerState, "derivable", derivable)
     run_session(GoldGrammar(teaching_gold()), SESSION_SCRIPT)
-    assert (len(calls), len(parses)) == (49, 24)
+    assert (len(calls), len(parses)) == (43, 24)
 
 
 def test_parser_budget_is_not_underivable():

@@ -5,21 +5,21 @@ from hypothesis import given, settings, strategies as st
 
 from mgumt.terms import (
     EMPTY, Abs, App, NonTerminating, SubtermNotFound, TermSyntaxError, Var,
-    VariableClash, abstract, all_names, alpha_canonical, alpha_equivalent,
-    apply, beta_reduce, beta_step, constants, contains, free_vars, is_normal,
-    parse_term, render_term, subterms, substitute, v, var_name,
+    VariableClash, VariableName, abstract, all_names, alpha_canonical,
+    alpha_equivalent, apply, beta_reduce, beta_step, constants, contains,
+    free_vars, is_normal, parse_term, render_term, subterms, substitute, v,
 )
 
 p = parse_term
 
 
 def test_free_vars_base_case():
-    assert free_vars(v("x")) == {var_name("x")}
+    assert free_vars(v("x")) == {VariableName("x")}
 
 
 def test_free_vars_eat_template():
     # \x.\y.eat(x)(y): x and y bound, eat free
-    assert free_vars(p("\\x.\\y.eat(x)(y)")) == {var_name("eat")}
+    assert free_vars(p("\\x.\\y.eat(x)(y)")) == {VariableName("eat")}
 
 
 def test_free_vars_all_bound():
@@ -42,25 +42,25 @@ def test_constants_count_free_occurrences():
 
 
 def test_substitute_direct():
-    assert substitute(p("P(Q)"), var_name("P"), v("eat")) == p("eat(Q)")
+    assert substitute(p("P(Q)"), VariableName("P"), v("eat")) == p("eat(Q)")
 
 
 def test_substitute_under_binder():
-    got = substitute(p("\\Q.P(Q)"), var_name("P"), v("eat"))
+    got = substitute(p("\\Q.P(Q)"), VariableName("P"), v("eat"))
     assert got == p("\\Q.eat(Q)")
 
 
 def test_substitute_capture_avoiding():
     # Oracle: rename the binder first (x -> x'), then replace.
-    got = substitute(p("\\x.y(x)"), var_name("y"), v("x"))
+    got = substitute(p("\\x.y(x)"), VariableName("y"), v("x"))
     assert alpha_equivalent(got, p("\\w.x(w)"))
     # the free x stayed free
-    assert free_vars(got) == {var_name("x")}
+    assert free_vars(got) == {VariableName("x")}
 
 
 def test_substitute_bound_occurrences_untouched():
     t = p("\\x.eat(x)")
-    assert substitute(t, var_name("x"), v("mouse")) == t
+    assert substitute(t, VariableName("x"), v("mouse")) == t
 
 
 def test_alpha_equivalent_single_rename():
@@ -138,21 +138,21 @@ def test_empty_never_inside_normal_forms():
 
 def test_abstract_two_steps():
     t = p("eat(cheese)(mouse)")
-    t1 = abstract(t, v("cheese"), var_name("x"))
-    t2 = abstract(t1, v("mouse"), var_name("y"))
+    t1 = abstract(t, v("cheese"), VariableName("x"))
+    t2 = abstract(t1, v("mouse"), VariableName("y"))
     # modulo binder order per the construction: \y.\x.eat(x)(y) vs \x.\y...
     assert alpha_equivalent(t2, p("\\y.\\x.eat(x)(y)"))
 
 
 def test_abstract_whole_term_is_identity():
-    got = abstract(v("mouse"), v("mouse"), var_name("Q"))
+    got = abstract(v("mouse"), v("mouse"), VariableName("Q"))
     assert alpha_equivalent(got, p("\\Q.Q"))
 
 
 def test_abstract_inverse_of_apply():
     # Oracle: beta_reduce((\Q.Q(mouse))(eat(cheese))) must equal the original.
     t = p("eat(cheese)(mouse)")
-    tpl = abstract(t, p("eat(cheese)"), var_name("Q"))
+    tpl = abstract(t, p("eat(cheese)"), VariableName("Q"))
     assert alpha_equivalent(tpl, p("\\Q.Q(mouse)"))
     assert alpha_equivalent(beta_reduce(App(tpl, p("eat(cheese)"))), t)
 
@@ -160,14 +160,14 @@ def test_abstract_inverse_of_apply():
 def test_abstract_errors():
     t = p("eat(cheese)(mouse)")
     with pytest.raises(SubtermNotFound):
-        abstract(t, v("rat"), var_name("Q"))
+        abstract(t, v("rat"), VariableName("Q"))
     with pytest.raises(VariableClash):
-        abstract(t, v("cheese"), var_name("mouse"))
+        abstract(t, v("cheese"), VariableName("mouse"))
 
 
 def test_formation_rule_rejects_vacuous_binder():
     with pytest.raises(ValueError):
-        Abs(var_name("x"), v("mouse"))
+        Abs(VariableName("x"), v("mouse"))
 
 
 def test_parse_basic_shape():
@@ -215,22 +215,6 @@ def test_parse_error_has_position():
         p("f(a))")
 
 
-def test_kinds_do_not_affect_reduction():
-    # Same term with permuted variable kinds reduces identically.
-    a = App(Abs(var_name("x"), App(v("eat"), Var(var_name("x")))), v("mouse"))
-    x_other = Var(VariableName := var_name("x"))
-    b = App(
-        Abs(
-            type(VariableName)("x", "term-variable"),
-            App(Var(type(VariableName)("eat", "predicate-constant")),
-                Var(type(VariableName)("x", "term-variable"))),
-        ),
-        Var(type(VariableName)("mouse", "predicate-constant")),
-    )
-    assert beta_reduce(a) == beta_reduce(b)
-    assert x_other == Var(type(VariableName)("x", "term-variable"))
-
-
 # --- randomized properties ---------------------------------------------------
 
 CONSTANTS = ["eat", "mouse", "cheese", "give", "rat", "carrot"]
@@ -253,7 +237,7 @@ def lambda_terms(draw, max_depth=5):
             return Var(draw(st.sampled_from(sorted(free, key=str))))
         if kind == "app":
             return App(go(depth - 1, free), go(depth - 1, free))
-        binder = var_name(f"b{draw(st.integers(0, 3))}_{depth}")
+        binder = VariableName(f"b{draw(st.integers(0, 3))}_{depth}")
         body = go(depth - 1, free | {binder})
         if binder not in free_vars(body):
             body = App(body, Var(binder))
@@ -298,7 +282,7 @@ def test_property_abstract_apply_inverse(t, data):
     if not candidates:
         return
     s = data.draw(st.sampled_from(candidates))
-    fresh = var_name("zz9")
+    fresh = VariableName("zz9")
     if fresh in all_names(t):
         return
     try:

@@ -112,7 +112,7 @@ def test_leftover_input_expects_end_of_input(gold):
         understand(gold, "the mouse eats cheese extra")
 
 
-def test_empty_language_names_the_start_symbol():
+def test_empty_language_names_the_start_category():
     # nothing derives c: no position or expected token says why it rejects
     grammar = compile_grammar(load_lexicon("mouse\t::\tn\tmouse\n"))
     assert grammar.start_categories == []
@@ -443,8 +443,8 @@ def test_property_derivation_agrees_with_compose_and_closure(text):
     sentences = {t.sign.exponent for t in search.complete}
     for sentence in sorted(sentences.union(DEEPER.get(text, ()))):
         readings = {}
-        for path in transducer._parses(grammar, sentence, transducer.MAX_STEPS):
-            meaning, _deltas = transducer._compose(path, transducer.MAX_STEPS)
+        for path in transducer._parses(grammar, sentence):
+            meaning, _deltas = transducer._compose(path)
             tree = derivation(path)
             assert alpha_equivalent(tree.sign.semantics, meaning), (text, sentence)
             assert expression_key(replay(tree)) == expression_key(tree.expression)
