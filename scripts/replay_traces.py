@@ -8,6 +8,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from mgumt.cli import print_derivation
 from mgumt.fixtures import table_one
 from mgumt.grammar import complete_derivations, render_sign
 from mgumt.mcfg import compile_grammar, rule_dump
@@ -26,11 +27,7 @@ def main():
     print("\n=== bottom-up derivation ===")
     search = complete_derivations(lex, 20)
     tree = next(t for t in search.complete if t.sign.exponent == SENTENCE)
-    for i, node in enumerate(tree.steps(), 1):
-        premises = "   ".join(repr(c.expression) for c in node.children)
-        print(f"({i}) {node.rule}")
-        print(f"    {premises}")
-        print(f"    ⇒ {node.expression!r}")
+    print_derivation(tree)
 
     print("\n=== compiled MCFG ===")
     grammar = compile_grammar(lex)

@@ -4,15 +4,13 @@ teaching REPL.
 
 Exit codes: 0 success, 1 clean rejection, unrealizable meaning or a parser
 or semantic limit, 2 usage or file-format errors.  `produce` and plain
-`derive` take a bottom-up derivation budget from --budget, else from
-UMT_BUDGET; `derive --target` parses the target and replays each reading's
-derivation, with no budget.
+`derive` take a bottom-up derivation budget from --budget; `derive --target`
+parses the target and replays each reading's derivation, with no budget.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -34,15 +32,6 @@ FORMAT_ERRORS = (LexiconError, TermSyntaxError, ScriptInvalid, EmptyLexicon,
 # the parser's step budget, a meaning that does not normalize, and the term
 # layer's recursion, which very deep embeddings still exhaust
 LIMIT_ERRORS = (RecursionError, NonTerminating, ParserBudget)
-
-
-def _budget(args) -> int | None:
-    env = os.environ.get("UMT_BUDGET")
-    if args.budget is not None:
-        return args.budget
-    if env:
-        return int(env)
-    return None
 
 
 def _lexicon(path: str):
@@ -79,7 +68,7 @@ def cmd_understand(args) -> int:
 def cmd_produce(args) -> int:
     lex = _lexicon(args.lexicon)
     try:
-        result = produce(lex, parse_term(args.meaning), _budget(args))
+        result = produce(lex, parse_term(args.meaning), args.budget)
     except Unrealizable as exc:
         print(f"unrealizable\t{exc}")
         return 1
@@ -95,7 +84,8 @@ def cmd_compile(args) -> int:
     return 0
 
 
-def _print_derivation(tree):
+def print_derivation(tree):
+    """Each step of a derivation: its rule, premises and result."""
     for i, node in enumerate(tree.steps(), 1):
         premises = "   ".join(repr(c.expression) for c in node.children)
         print(f"({i}) {node.rule}")
@@ -109,7 +99,7 @@ def cmd_derive(args) -> int:
     no search, so no budget."""
     lex = _lexicon(args.lexicon)
     if args.target is None:
-        search = complete_derivations(lex, _budget(args))
+        search = complete_derivations(lex, args.budget)
         trees, exhausted = search.complete, search.budget_exhausted
     else:
         trees, exhausted = derivations(compile_grammar(lex), args.target), False
@@ -117,7 +107,7 @@ def cmd_derive(args) -> int:
         print("no complete derivation found")
     for tree in trees:
         print(f"# {render_sign(tree.sign)}")
-        _print_derivation(tree)
+        print_derivation(tree)
         print()
     if exhausted:
         print("# note: derivation budget exhausted, results may be partial")
@@ -219,8 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
         if budget:
             sp.add_argument("--budget", type=int, default=None,
                             help="bottom-up derivation budget, unused by "
-                                 "derive --target (default: UMT_BUDGET or "
-                                 "10x lexicon)")
+                                 "derive --target (default: 10x lexicon)")
 
     sp = sub.add_parser("parse", help="top-down recognition with trace")
     common(sp)

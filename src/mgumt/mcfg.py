@@ -1,5 +1,6 @@
 """Compile a minimalist lexicon into an equivalent multiple context-free
-grammar, and the node-index algebra that sequences top-down predictions.
+grammar, and the node indices (`bytes` of tree-address digits) that
+sequence top-down predictions.
 
 Categories are tuples of feature suffixes (head first, then chains, which
 always start with a licensee).  Rules come from closing the entries'
@@ -21,7 +22,6 @@ published 16-rule grammar for the expert lexicon.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import total_ordering
 from itertools import groupby, product
 
 from .grammar import (
@@ -145,53 +145,27 @@ def render_rule(rule: McfgRule) -> str:
 
 # --- node indices --------------------------------------------------------------
 
-@total_ordering
-@dataclass(frozen=True, slots=True)
-class NodeIndex:
-    """Tree address of the string material a prediction covers.
+class NodeIndex(bytes):
+    """Tree address of the string material a prediction covers: the digits
+    as bytes.
 
     Ordered by dictionary order on digit sequences (a prefix precedes its
     extensions), which sorts any tree's leaf addresses in surface order;
     on sibling-comparable addresses this agrees with the shorter-first,
-    equal-length-lexicographic reading.
-
-    The digits are stored as `bytes` (a tuple of ints is converted), whose
-    order is the same dictionary order: copying, comparing and hashing an
-    address then run in C (`bytes` keeps its hash), so a parser step costs
-    about the same however deep the addresses grow.
+    equal-length-lexicographic reading.  That is the order of `bytes`, so
+    copying, comparing and hashing an address run in C, and a parser step
+    costs about the same however deep the addresses grow.
     """
-    digits: bytes = b""
-
-    def __post_init__(self):
-        if type(self.digits) is not bytes:
-            object.__setattr__(self, "digits", bytes(self.digits))
-
-    def child(self, j: int) -> "NodeIndex":
-        return _index(self.digits + bytes((j,)))
+    __slots__ = ()
 
     def parent(self) -> "NodeIndex":
-        return _index(self.digits[:-1])
-
-    def __len__(self):
-        return len(self.digits)
+        return NodeIndex(self[:-1])
 
     def __repr__(self):
-        return "".join(str(d) for d in self.digits) if self.digits else "ε"
-
-    def __lt__(self, other):
-        return self.digits < other.digits
+        return "".join(map(str, self)) or "ε"
 
 
 ROOT = NodeIndex()
-_new_index = object.__new__
-_set_digits = NodeIndex.digits.__set__
-
-
-def _index(digits: bytes) -> NodeIndex:
-    """NodeIndex(digits) for digits already bytes, without the checks."""
-    index = _new_index(NodeIndex)
-    _set_digits(index, digits)
-    return index
 
 
 def assign_child_indices(rule: McfgRule, parent_indices) -> list[tuple[NodeIndex, ...]]:
@@ -203,7 +177,7 @@ def assign_child_indices(rule: McfgRule, parent_indices) -> list[tuple[NodeIndex
     if len(parent_indices) != len(rule.lhs.components):
         raise ArityMismatch(
             f"{rule.lhs!r} has arity {rule.lhs.arity}, got {len(parent_indices)}")
-    return [tuple([_index(parent_indices[p].digits + d) if d
+    return [tuple([NodeIndex(parent_indices[p] + d) if d
                    else parent_indices[p] for p, d in row])
             for row in rule.plan]
 

@@ -7,7 +7,7 @@ predictions into the queue, which stays sorted, and the search skips every
 state (remaining input and queue) already explored without an accept; so
 one step of its budget is a scan or expansion into a new or live state,
 and only exponentially many accepting paths exhaust it.  Node indices are
-byte strings, which compare, copy and hash as whole blocks, and a state's
+`bytes`, which compare, copy and hash as whole blocks, and a state's
 key carries its queue as a running sum of item hashes, updated for the
 items a step pops and pushes; so what a step costs grows neither with the
 length of its indices nor with a rehash of the queue, only with copying
@@ -89,17 +89,10 @@ class QueueItem:
     def __init__(self, category: McfgCategory, indices: tuple[NodeIndex, ...]):
         self.category = category
         self.indices = indices
-        # the digits of its smallest index are the item's place in the
-        # queue, and the parser sums item hashes to key its dead states;
-        # most items have one component, which needs no list
-        if len(indices) == 1:
-            digits = indices[0].digits
-            self.order = digits
-            self._hash = hash((category, digits))
-        else:
-            digits = [i.digits for i in indices]
-            self.order = min(digits)
-            self._hash = hash((category, *digits))
+        # its smallest index is the item's place in the queue, and the
+        # parser sums item hashes to key its dead states
+        self.order = indices[0] if len(indices) == 1 else min(indices)
+        self._hash = hash((category, *indices))
         self._repr = None
 
     def __eq__(self, other):
@@ -401,13 +394,13 @@ def _compose(path: list[Step]) -> tuple[LambdaTerm, list[tuple]]:
     return (EMPTY if root is None else settle(root).term), deltas
 
 
-def _below(queue: list[SemItem], digits: bytes) -> int:
+def _below(queue: list[SemItem], index: NodeIndex) -> int:
     """The first place in queue, sorted by descending index, whose index is
-    below digits."""
+    below index."""
     lo, hi = 0, len(queue)
     while lo < hi:
         mid = (lo + hi) // 2
-        if queue[mid].index.digits < digits:
+        if queue[mid].index < index:
             hi = mid
         else:
             lo = mid + 1
@@ -431,13 +424,13 @@ def _semantic_rows(path: list[Step], deltas: list[tuple]) -> list[Step]:
         if item.term is EMPTY:
             rows.append(Step("apply", None, after.input, tuple(queue)))
             queue.pop()
-    ordered = sorted(queue, key=lambda it: it.index.digits, reverse=True)
+    ordered = sorted(queue, key=attrgetter("index"), reverse=True)
     if ordered != queue:
         rows.append(Step("sort", None, (), tuple(queue)))
     queue = ordered
 
     def find(item: SemItem) -> int:
-        at = _below(queue, item.index.digits) - 1
+        at = _below(queue, item.index) - 1
         while queue[at] is not item:
             at -= 1
         return at
@@ -450,7 +443,7 @@ def _semantic_rows(path: list[Step], deltas: list[tuple]) -> list[Step]:
             f, a, combined = items
             del queue[find(f)]
             del queue[find(a)]
-            queue.insert(_below(queue, combined.index.digits), combined)
+            queue.insert(_below(queue, combined.index), combined)
         else:
             old, contracted = items
             queue[find(old)] = contracted

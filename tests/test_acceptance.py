@@ -18,7 +18,6 @@ from mgumt.grammar import (
     complete_derivations, derived_sign, load_lexicon, merge, move,
     parse_features,
 )
-from mgumt.learner import LearnerState, express, ingest, repair
 from mgumt.mcfg import compile_grammar, enumerate_strings, render_rule
 from mgumt.teacher import GoldGrammar, Verdict, judge, run_session
 from mgumt.terms import (
@@ -26,7 +25,7 @@ from mgumt.terms import (
     abstract, all_names, alpha_equivalent, beta_reduce, free_vars,
     parse_term, subterms, substitute, v,
 )
-from mgumt.transducer import UMP, Unrealizable, produce, recognize, understand
+from mgumt.transducer import Unrealizable, produce, recognize, understand
 
 p = parse_term
 

@@ -81,7 +81,7 @@ def mgumt_in_subprocess(*args: str, stdin: str | None = None,
                         timeout: float = 10):
     """`mgumt` at the default budget, in its own process so that a search
     that does not end fails the test instead of hanging it."""
-    env = {k: val for k, val in os.environ.items() if k != "UMT_BUDGET"}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
@@ -279,12 +279,10 @@ def test_understand_constant_semantics(tmp_path, capsys):
     assert rows[-1] == "meaning\teat(cheese)(mouse)"
 
 
-def test_budget_env_override(gold_path, capsys, monkeypatch):
-    monkeypatch.setenv("UMT_BUDGET", "1")
-    assert main(["produce", "--lexicon", gold_path,
+def test_budget_option_bounds_produce(gold_path, capsys):
+    assert main(["produce", "--lexicon", gold_path, "--budget", "1",
                  "--meaning", "eat(cheese)(mouse)"]) == 1
-    monkeypatch.setenv("UMT_BUDGET", "100")
-    assert main(["produce", "--lexicon", gold_path,
+    assert main(["produce", "--lexicon", gold_path, "--budget", "100",
                  "--meaning", "eat(cheese)(mouse)"]) == 0
 
 

@@ -1,5 +1,4 @@
 import hashlib
-import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,13 +6,13 @@ from hypothesis import given, settings, strategies as st
 import mgumt.grammar as grammar_module
 from mgumt.fixtures import TABLE_ONE, TEACHING_GOLD, table_one, teaching_gold
 from mgumt.grammar import (
-    DerivationTree, Expression, Feature, FeatureMismatch, Lexicon,
-    LexiconError, NoRedex, Sign, SmcViolation, SyntacticType,
-    check_lexical_type, complete_derivations, concat_exponents, derived_sign,
-    expression_key, lexical_sign, load_lexicon, merge, move, parse_features,
-    parse_lexicon_line, reduce_step, render_features, replay, save_lexicon,
+    Expression, FeatureMismatch, Lexicon, LexiconError, NoRedex, Sign,
+    SmcViolation, SyntacticType, check_lexical_type, complete_derivations,
+    concat_exponents, derived_sign, expression_key, load_lexicon, merge, move,
+    parse_features, parse_lexicon_line, reduce_step, render_features, replay,
+    save_lexicon,
 )
-from mgumt.terms import EMPTY, alpha_equivalent, parse_term, render_term
+from mgumt.terms import alpha_equivalent, parse_term
 from mgumt.transducer import produce
 
 p = parse_term

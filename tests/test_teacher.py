@@ -2,7 +2,6 @@ import pytest
 
 from mgumt.fixtures import SESSION_SCRIPT, TABLE_ONE, teaching_gold
 from mgumt.grammar import complete_derivations, load_lexicon, save_lexicon
-from mgumt.learner import LearnerState
 from mgumt.teacher import (
     GoldGrammar, ScriptInvalid, Verdict, judge, parse_script, run_session,
 )

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from mgumt.terms import (
     EMPTY, Abs, App, NonTerminating, SubtermNotFound, TermSyntaxError, Var,
     VariableClash, VariableName, abstract, all_names, alpha_canonical,
-    alpha_equivalent, apply, beta_reduce, beta_step, constants, contains,
-    free_vars, is_normal, parse_term, render_term, subterms, substitute, v,
+    alpha_equivalent, apply, beta_reduce, beta_step, constants, free_vars,
+    parse_term, render_term, subterms, substitute, v,
 )
 
 p = parse_term

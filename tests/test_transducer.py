@@ -112,6 +112,19 @@ def test_leftover_input_expects_end_of_input(gold):
         understand(gold, "the mouse eats cheese extra")
 
 
+@pytest.mark.parametrize("sentence, position, expected", [
+    # the input ends where the verb, or its object, is due ("eats" is
+    # scanned as "eat" and "-s")
+    ("the mouse", 2, {"eat"}),
+    ("the mouse eats", 3, {"cheese"}),
+    # "cheese" (n -k) cannot follow "the", where only "mouse" fits
+    ("the cheese eats", 1, {"mouse"}),
+])
+def test_short_input_failure_report(gold, sentence, position, expected):
+    r = recognize(gold, sentence)
+    assert (r.accepted, r.position, r.expected) == (False, position, expected)
+
+
 def test_empty_language_names_the_start_category():
     # nothing derives c: no position or expected token says why it rejects
     grammar = compile_grammar(load_lexicon("mouse\t::\tn\tmouse\n"))
