@@ -142,10 +142,6 @@ class Expression:
         return " ".join(render_sign(s) for s in self.signs)
 
 
-def lexical_sign(exponent, features, semantics) -> Sign:
-    return Sign(exponent, SyntacticType(True, tuple(features)), semantics)
-
-
 def derived_sign(exponent, features, semantics) -> Sign:
     return Sign(exponent, SyntacticType(False, tuple(features)), semantics)
 
@@ -297,10 +293,9 @@ def parse_lexicon_line(line: str) -> Sign:
 def load_lexicon(text: str) -> Lexicon:
     entries = []
     for raw in text.splitlines():
-        line = raw.strip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
+        if not raw.strip() or raw.lstrip().startswith("#"):
             continue
-        entries.append(parse_lexicon_line(line))
+        entries.append(parse_lexicon_line(raw))
     return Lexicon(tuple(entries))
 
 
@@ -331,21 +326,20 @@ class DerivationTree:
     def leaf(entry: Sign) -> "DerivationTree":
         return DerivationTree(LEXICAL, Expression((entry,)))
 
-    def steps(self):
-        """Rule applications in presentation order: later premises first,
-        each node after its premises.  Replaying the gold grammar yields the
-        published step numbering.  That order is a preorder that visits
-        earlier premises first, reversed, which an explicit stack gives at
-        any depth."""
-        out = []
+    def nodes(self):
+        """Every node in preorder, earlier premises first, from an explicit
+        stack, so a tree of any depth is walked."""
         stack = [self]
         while stack:
             node = stack.pop()
-            if node.rule != LEXICAL:
-                out.append(node)
+            yield node
             stack += reversed(node.children)
-        out.reverse()
-        return out
+
+    def steps(self):
+        """Rule applications in presentation order: later premises first,
+        each node after its premises.  Replaying the gold grammar yields the
+        published step numbering.  That order is `nodes`, reversed."""
+        return [n for n in self.nodes() if n.rule != LEXICAL][::-1]
 
     @property
     def sign(self) -> Sign:
@@ -387,14 +381,14 @@ def replay(tree: DerivationTree) -> Expression:
 
 
 def _normalized(tree: DerivationTree) -> DerivationTree:
-    """Wrap explicit λ-app nodes until the head semantics is normal."""
-    while True:
-        stepped = beta_step(tree.expression.head.semantics)
-        if stepped is None:
-            return tree
-        expr = reduce_step(tree.expression)
+    """Wrap explicit λ-app nodes until the head semantics is normal, each
+    built from the β-step that found its redex."""
+    while (stepped := beta_step(tree.expression.head.semantics)) is not None:
+        signs = tree.expression.signs
+        expr = Expression((dc_replace(signs[0], semantics=stepped),) + signs[1:])
         tree = DerivationTree("λ-app", expr, (tree,), tree.size + 1,
                               tree.structural_size)
+    return tree
 
 
 @dataclass
@@ -425,6 +419,19 @@ def _fits(expr: Expression, bound: Counter) -> bool:
     return counts <= bound
 
 
+def pairs_by_lead(index: dict, item, lead: Feature) -> list[tuple]:
+    """File item under its leading feature in index, the agenda index of
+    Harkema 2001 and Stabler 2013, and return the (selector, selected)
+    pairs it makes with the items filed before it, in filing order: with
+    each item led by `f` if it is led by `=f`, and the other way round."""
+    index.setdefault(lead, []).append(item)
+    if lead.kind == SEL:
+        return [(item, b) for b in index.get(Feature(BASE, lead.ident), ())]
+    if lead.kind == BASE:
+        return [(a, item) for a in index.get(Feature(SEL, lead.ident), ())]
+    return []
+
+
 def complete_derivations(lex: Lexicon,
                          max_rule_applications: int | None = None, *,
                          meaning: LambdaTerm | None = None) -> DerivationSearch:
@@ -432,18 +439,24 @@ def complete_derivations(lex: Lexicon,
 
     Enumerates derivation trees in order of increasing step count (budget is
     the per-derivation step bound, λ-app steps included), head semantics kept
-    normal between structural steps.  Expressions are deduplicated; the first
-    tree found for an expression is minimal.  `complete` keeps the first
-    complete tree per (exponent, α-canonical meaning), in the order popped.
-    `produce` and plain `mgumt derive` use it; what an utterance means, and
-    its derivations, are the parser's (`match_meaning`, `derivations`).
+    normal between structural steps.  `produce` and plain `mgumt derive`
+    use it; what an utterance means, and its derivations, are the parser's
+    (`match_meaning`, `derivations`).
 
-    Processed trees are indexed by their head's leading feature (the agenda
-    index of Harkema 2001 and Stabler 2013): a popped tree led by `=f` is
-    merged with each processed tree led by `f`, one led by `f` with each
-    led by `=f`, in processed order.  Only one order of a pair can merge,
-    and a failed merge pushes nothing, so trees are pushed in the order
-    that trying every pair both ways pushes them: every output is the same.
+    Each expression is processed once, by its first smallest tree: trees pop
+    in nondecreasing size, every tree pushed is strictly larger than the one
+    being processed, and `push` refuses an expression whose best tree is no
+    larger.  A complete expression is one `:` sign whose features are
+    exactly `c`, so its key fixes its (exponent, α-canonical meaning), and
+    `complete` holds one tree per such pair, in the order popped.
+
+    Processed trees are filed by their head's leading feature in the agenda
+    index that `pairs_by_lead` keeps: a popped tree led by `=f` is merged
+    with each processed tree led by `f`, one led by `f` with each led by
+    `=f`, in processed order, and one led by `+f` is moved.  Only one order
+    of a pair can merge, and a failed merge pushes nothing, so trees are
+    pushed in the order that trying every pair both ways pushes them: every
+    output is the same.
 
     Given a `meaning`, the search keeps only expressions whose constants,
     counted over all their signs, fit within the meaning's.  Merge and move
@@ -478,54 +491,41 @@ def complete_derivations(lex: Lexicon,
         if prev is not None and prev.size <= tree.size:
             return
         best[k] = tree
-        heapq.heappush(heap, (tree.size, seq, tree))
+        heapq.heappush(heap, (tree.size, seq, k, tree))
         seq += 1
 
     for entry in lex.entries:
         push(DerivationTree.leaf(entry))
 
-    # processed trees by their head's leading feature, in processed order
     processed: dict[Feature, list[DerivationTree]] = {}
     trees: list[DerivationTree] = []
     complete: list[DerivationTree] = []
-    complete_keys = set()
-
-    def consider(a, b):
-        try:
-            expr, tag = merge(a.expression, b.expression)
-        except FeatureMismatch:
-            return
-        node = DerivationTree(tag, expr, (a, b), a.size + b.size + 1,
-                              a.structural_size + b.structural_size + 1)
-        push(_normalized(node))
 
     while heap:
-        _, _, tree = heapq.heappop(heap)
-        if best.get(expression_key(tree.expression)) is not tree:
+        _, _, k, tree = heapq.heappop(heap)
+        if best[k] is not tree:
             continue
         trees.append(tree)
         if is_complete(tree.expression):
-            k = (tree.sign.exponent, alpha_canonical(tree.sign.semantics))
-            if k not in complete_keys:
-                complete_keys.add(k)
-                complete.append(tree)
-        lead = tree.sign.stype.features[:1]
-        if lead and lead[0].kind in (SEL, BASE):
-            f = lead[0]
-            processed.setdefault(f, []).append(tree)
-            if f.kind == SEL:
-                for other in processed.get(Feature(BASE, f.ident), ()):
-                    consider(tree, other)
-            else:
-                for other in processed.get(Feature(SEL, f.ident), ()):
-                    consider(other, tree)
-        try:
-            expr, tag = move(tree.expression)
-        except (FeatureMismatch, SmcViolation):
+            complete.append(tree)
+        if not tree.sign.stype.features:
             continue
-        node = DerivationTree(tag, expr, (tree,), tree.size + 1,
-                              tree.structural_size + 1)
-        push(_normalized(node))
+        lead = tree.sign.stype.features[0]
+        for a, b in pairs_by_lead(processed, tree, lead):
+            try:
+                expr, tag = merge(a.expression, b.expression)
+            except FeatureMismatch:
+                continue
+            push(_normalized(DerivationTree(
+                tag, expr, (a, b), a.size + b.size + 1,
+                a.structural_size + b.structural_size + 1)))
+        if lead.kind == POS:
+            try:
+                expr, tag = move(tree.expression)
+            except (FeatureMismatch, SmcViolation):
+                continue
+            push(_normalized(DerivationTree(tag, expr, (tree,), tree.size + 1,
+                                            tree.structural_size + 1)))
 
     return DerivationSearch(trees, complete, exhausted)
 

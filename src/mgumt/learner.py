@@ -544,15 +544,10 @@ def _stage_slot(state: LearnerState, al: Alignment):
         return None
     # the type of the first, in preorder, of the fewest-featured one-sign
     # constituents whose yield is `want`
-    slot = None
-    nodes = [derivation(path)]
-    while nodes:
-        node = nodes.pop()
-        head = node.expression.head
-        if (head.exponent == want and len(node.expression.signs) == 1
-                and (slot is None or len(head.stype.features) < len(slot.features))):
-            slot = head.stype
-        nodes += reversed(node.children)
+    slot = min((node.sign.stype for node in derivation(path).nodes()
+                if node.sign.exponent == want
+                and len(node.expression.signs) == 1),
+               key=lambda t: len(t.features), default=None)
     if slot is None:
         return None
     new = Sign(" ".join(ra), slot, sem_new)
@@ -682,13 +677,10 @@ def _paradigm_pairs(state):
     for a, b in itertools.combinations(entries, 2):
         if a.stype != b.stype:
             continue
-        n = char_prefix(a.exponent, b.exponent)
-        if n < MIN_STEM_CHARS:
-            continue
         stem, plural = (a, b) if len(a.exponent) < len(b.exponent) else (b, a)
-        if stem.exponent != plural.exponent[:len(stem.exponent)]:
-            continue
-        if len(plural.exponent) == len(stem.exponent):
+        n = len(stem.exponent)
+        if (n < MIN_STEM_CHARS or n == len(plural.exponent)
+                or not plural.exponent.startswith(stem.exponent)):
             continue
         if alpha_equivalent(a.semantics, b.semantics):
             continue        # alternation unsupported by the semantics

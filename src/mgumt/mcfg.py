@@ -25,8 +25,9 @@ from dataclasses import dataclass
 from itertools import groupby, product
 
 from .grammar import (
-    BASE, NEG, POS, SEL, START, Expression, Feature, FeatureMismatch,
-    Lexicon, Sign, SyntacticType, fuse_tokens, merge, move, render_features,
+    BASE, NEG, POS, START, Expression, Feature, FeatureMismatch, Lexicon,
+    Sign, SyntacticType, fuse_tokens, merge, move, pairs_by_lead,
+    render_features,
 )
 from .terms import EMPTY
 
@@ -261,15 +262,9 @@ def compile_grammar(lex: Lexicon) -> CompiledGrammar:
         if k in done or not k.head:     # a spent head neither merges nor moves
             continue
         done.add(k)
-        lead = k.head[0]
-        by_lead.setdefault(lead, []).append(k)
-        if lead.kind == SEL:
-            for b in by_lead.get(Feature(BASE, lead.ident), ()):
-                derive(merge, (k, b))
-        elif lead.kind == BASE:
-            for a in by_lead.get(Feature(SEL, lead.ident), ()):
-                derive(merge, (a, k))
-        elif lead.kind == POS:
+        for pair in pairs_by_lead(by_lead, k, k.head[0]):
+            derive(merge, pair)
+        if k.head[0].kind == POS:
             derive(move, (k,))
 
     start = (Feature(BASE, START),)

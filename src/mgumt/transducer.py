@@ -178,7 +178,7 @@ def _scan_tokens(axiom: McfgRule, input_toks, suffix_tokens):
     return input_toks[len(want):]
 
 
-def _parses(grammar: CompiledGrammar, utterance):
+def _parses(grammar: CompiledGrammar, utterance: str):
     """Top-down search with chronological backtracking, depth first over an
     explicit stack: start categories in grammar order, then at each state
     axioms before expansions, each in grammar order.
@@ -195,7 +195,7 @@ def _parses(grammar: CompiledGrammar, utterance):
     polynomial time, while exponentially many accepting paths still run
     out of steps.
     """
-    toks = tuple(utterance.split() if isinstance(utterance, str) else utterance)
+    toks = tuple(utterance.split())
     length = len(toks)
     suffix_tokens = grammar.suffix_tokens
     budget = MAX_STEPS
@@ -505,14 +505,17 @@ def derivation(path: list[Step]) -> DerivationTree:
     return held[id(path[0].queue[0])]
 
 
-def _readings(grammar: CompiledGrammar, utterance):
-    """(meaning, path) for the first accepting path of each α-equivalence
-    class of meanings, in the order the parser accepts them."""
-    readings: dict[LambdaTerm, tuple] = {}
+def _readings(grammar: CompiledGrammar, utterance: str):
+    """Yields (α-canonical key, meaning, path) for the first accepting path
+    of each α-equivalence class of meanings, in the order the parser
+    accepts them; a reader that stops early parses no further."""
+    seen = set()
     for path in _parses(grammar, utterance):
         meaning, _deltas = _compose(path)
-        readings.setdefault(alpha_canonical(meaning), (meaning, path))
-    return readings.values()
+        key = alpha_canonical(meaning)
+        if key not in seen:
+            seen.add(key)
+            yield key, meaning, path
 
 
 def all_meanings(grammar: CompiledGrammar, utterance) -> list[LambdaTerm]:
@@ -520,13 +523,14 @@ def all_meanings(grammar: CompiledGrammar, utterance) -> list[LambdaTerm]:
     class, in the order the parser accepts its paths (so the first is the
     one `understand` gives).  A judge asking after one meaning wants
     `match_meaning`."""
-    return [meaning for meaning, _path in _readings(grammar, utterance)]
+    return [meaning for _key, meaning, _path in _readings(grammar, utterance)]
 
 
 def derivations(grammar: CompiledGrammar, utterance) -> list[DerivationTree]:
     """One derivation per meaning of the utterance, in `all_meanings`
     order: what `derive --target` prints."""
-    return [derivation(path) for _meaning, path in _readings(grammar, utterance)]
+    return [derivation(path)
+            for _key, _meaning, path in _readings(grammar, utterance)]
 
 
 def match_meaning(grammar: CompiledGrammar, utterance,
@@ -534,16 +538,16 @@ def match_meaning(grammar: CompiledGrammar, utterance,
     """The first accepting path whose meaning is α-equal to the meaning
     (None if there is none), and whether the parser accepted any path.
 
-    The search stops at that path, so a judge that asks whether the
-    utterance can mean this pays only for the paths before it; when no path
-    matches, it has composed every one, as `all_meanings` does."""
+    It reads the readings `all_meanings` reads, and stops at the one with
+    that meaning, whose path is the first to mean it; so a judge that asks
+    whether the utterance can mean this pays only for the paths before it,
+    and when no path matches, it has composed every one."""
     target = alpha_canonical(meaning)
     accepted = False
-    for path in _parses(grammar, utterance):
-        accepted = True
-        composed, _deltas = _compose(path)
-        if alpha_canonical(composed) == target:
+    for key, _meaning, path in _readings(grammar, utterance):
+        if key == target:
             return path, True
+        accepted = True
     return None, accepted
 
 

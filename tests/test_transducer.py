@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from mgumt.fixtures import TABLE_ONE, table_one, teaching_gold
 from mgumt.grammar import (
-    LexiconError, complete_derivations, expression_key, load_lexicon, replay,
+    LexiconError, complete_derivations, expression_key, is_complete,
+    load_lexicon, replay,
 )
 from mgumt import transducer
 from mgumt.learner import LearnerState
@@ -489,6 +490,26 @@ def test_derivations_are_the_bounded_closures(text, sentence):
         twin = next(t for t in search.complete if t.sign.exponent == sentence
                     and alpha_canonical(t.sign.semantics) == key)
         assert derivation_record(tree) == derivation_record(twin)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(tiered_lexicons(), st.sampled_from(sorted(DEEPER))))
+def test_property_closure_processes_each_expression_once(text):
+    # so every complete tree the closure keeps is the first one with its
+    # (exponent, α-canonical meaning), and no second check is needed
+    try:
+        lex = load_lexicon(text)
+    except LexiconError:
+        return      # a drawn entry repeats another
+    search = complete_derivations(lex, 16)
+    keys = [expression_key(t.expression) for t in search.trees]
+    assert len(set(keys)) == len(keys), text
+    first = {}
+    for t in search.trees:
+        if is_complete(t.expression):
+            first.setdefault(
+                (t.sign.exponent, alpha_canonical(t.sign.semantics)), t)
+    assert list(map(id, search.complete)) == list(map(id, first.values())), text
 
 
 def test_replay_deep_derivation():
