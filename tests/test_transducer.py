@@ -1,9 +1,10 @@
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mgumt.fixtures import TABLE_ONE, table_one, teaching_gold
+from mgumt.fixtures import TABLE_ONE, TEACHING_GOLD, table_one, teaching_gold
 from mgumt.grammar import (
     LexiconError, complete_derivations, expression_key, is_complete,
     load_lexicon, replay,
@@ -663,6 +664,80 @@ def test_deep_traces_unchanged():
     digest = hashlib.sha256("\n".join(parts).encode()).hexdigest()
     assert digest == (
         "c12673d093bef006b4418bad0bc2ccba69f29f23f98fc0bc3e98c13cf35a1fb4")
+
+
+# four-letter words, none a prefix of another or of a verb plus "s"
+PIN_WORDS = [a + b + c + d for a in "bdgkmprt" for b in "aeiou"
+             for c in "bdgkmprt" for d in "aeiou"]
+TG_FUNCTION_TEXT = "".join(
+    line + "\n" for line in TEACHING_GOLD.splitlines()
+    if line.split("\t")[0] in ("the", "-s", "eps"))
+
+
+def teaching_gold_shaped(rng, size):
+    """A lexicon shaped like the teaching gold with `size` entries, its
+    grammatical sentences and one of each ungrammatical kind."""
+    content = size - len(TG_FUNCTION_TEXT.splitlines())
+    n_verb = max(1, content // 4)
+    n_sg = (content - n_verb) // 3
+    words = rng.sample(PIN_WORDS, content)
+    sg, pl = words[:n_sg], words[n_sg:2 * n_sg]
+    objs, verbs = words[2 * n_sg:content - n_verb], words[content - n_verb:]
+    text = "".join(
+        [f"{w}\t::\tnsg\t{w}\n" for w in sg]
+        + [f"{w}\t::\tnpl\t{w}\n" for w in pl]
+        + [f"{w}\t::\tn -k\t{w}\n" for w in objs]
+        + [f"{w}\t::\t=n v -f\t\\x.\\y.{w}(x)(y)\n" for w in verbs]) \
+        + TG_FUNCTION_TEXT
+    sentences = [f"the {rng.choice(subjects)} {rng.choice(verbs)}{suffix} "
+                 f"{rng.choice(objs)}"
+                 for subjects, suffix in ((sg, "s"), (pl, ""))
+                 for _ in range(5)]
+    s, q, verb, obj = (rng.choice(sg), rng.choice(pl), rng.choice(verbs),
+                       rng.choice(objs))
+    sentences += [f"the {s} {verb} {obj}", f"the {q} {verb}s {obj}",
+                  f"the {obj} {verb}s {s}", f"the {s} {obj} {verb}s"]
+    return text, sentences
+
+
+def test_parser_outputs_pinned(monkeypatch):
+    # what the parser gives on inputs shaped like the benchmark's
+    # `understand` workload: every render, rejection, meaning and the number
+    # of expansions, as the parser gave them before its move tables
+    expansions = []
+
+    def counting(rule, indices):
+        expansions.append(rule)
+        return assign_child_indices(rule, indices)
+
+    monkeypatch.setattr("mgumt.transducer.assign_child_indices", counting)
+    rng = random.Random(23)
+    cases = [teaching_gold_shaped(rng, size) for size in (10, 31, 60)]
+    clauses = [" ".join(["the rat eats that"] * depth
+                        + ["the mouse eats cheese"]) for depth in range(41)]
+    swapped = [" ".join(c.split()[:-2] + c.split()[:-3:-1])
+               for c in clauses[::2]]
+    cases.append((EMBEDDING_TEXT, clauses + swapped))
+    cases.append((HOMOPHONE_TEXT,
+                  ["the " + "old " * k + "mouse cheese eats" for k in range(11)]
+                  + ["the " + "old " * k + "mouse eats cheese"
+                     for k in range(4)]))
+    digest = hashlib.sha256()
+    for text, sentences in cases:
+        grammar = compile_grammar(load_lexicon(text))
+        for sentence in sentences:
+            expansions.clear()
+            parts = [sentence, recognize(grammar, sentence).render()]
+            try:
+                understood = understand(grammar, sentence)
+                parts += [understood.render(), render_term(understood.meaning)]
+            except ParseRejected as rejected:
+                parts.append(f"{rejected.position} "
+                             f"{sorted(rejected.expected)}")
+            parts.append(str(len(expansions)))
+            digest.update("\n".join(parts).encode() + b"\n\n")
+    assert digest.hexdigest() == (
+        "d0deb6e4d7492a316806caa2b58da139c5ae1ce2d773f70c7c736b854b73f2bc")
 
 
 # --- round trip -------------------------------------------------------------------
