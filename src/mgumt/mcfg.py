@@ -117,6 +117,17 @@ class McfgRule:
             for j, (r, c) in enumerate(comp):
                 plan[r][c] = (p, bytes((j,)) if len(comp) > 1 else b"")
         object.__setattr__(self, "plan", tuple(map(tuple, plan)))
+        # what the parser and the semantic queue read at every expansion:
+        # the number of rhs categories, their hashes, and per lhs component
+        # the (function, argument) slots it combines, the function being
+        # the selector or licensor (slot (0, 0)), or (None, the slot it
+        # passes through)
+        object.__setattr__(self, "rank", len(self.rhs))
+        object.__setattr__(self, "rhs_hashes", tuple(map(hash, self.rhs)))
+        object.__setattr__(self, "combine", tuple(
+            (None, comp[0]) if len(comp) == 1
+            else ((0, 0), comp[1] if comp[0] == (0, 0) else comp[0])
+            for comp in self.pattern))
 
     def slot_names(self) -> dict[Slot, str]:
         names = {}
@@ -178,9 +189,14 @@ def assign_child_indices(rule: McfgRule, parent_indices) -> list[tuple[NodeIndex
     if len(parent_indices) != len(rule.lhs.components):
         raise ArityMismatch(
             f"{rule.lhs!r} has arity {rule.lhs.arity}, got {len(parent_indices)}")
-    return [tuple([NodeIndex(parent_indices[p] + d) if d
-                   else parent_indices[p] for p, d in row])
-            for row in rule.plan]
+    children = []
+    for row in rule.plan:       # loops, not comprehensions: each is a call
+        child = []
+        for p, d in row:
+            child.append(NodeIndex(parent_indices[p] + d) if d
+                         else parent_indices[p])
+        children.append(tuple(child))
+    return children
 
 
 # --- compilation ----------------------------------------------------------------
@@ -192,23 +208,17 @@ class CompiledGrammar:
     start_categories: list[McfgCategory]
 
     def __post_init__(self):
-        self._axioms: dict[McfgCategory, list[McfgRule]] = {}
-        self._expansions: dict[McfgCategory, list[McfgRule]] = {}
+        # the move table: per category with a rule, its axioms and its
+        # expansions, each in grammar order
+        moves: dict[McfgCategory, tuple[list, list]] = {}
         for rule in self.rules:
-            split = self._axioms if rule.is_axiom else self._expansions
-            split.setdefault(rule.lhs, []).append(rule)
+            moves.setdefault(rule.lhs, ([], []))[not rule.is_axiom].append(rule)
+        self.moves = {cat: (tuple(axioms), tuple(expansions))
+                      for cat, (axioms, expansions) in moves.items()}
         # the suffix tokens ("-s") the axioms spell, which a scan may split
         # off the end of an input token
         self.suffix_tokens = {t for r in self.rules if r.is_axiom
                               for t in r.tokens if t.startswith("-")}
-
-    def expansions(self, cat: McfgCategory) -> list[McfgRule]:
-        """The non-axiom rules for cat, in grammar order; not to be changed."""
-        return self._expansions.get(cat, [])
-
-    def axioms(self, cat: McfgCategory) -> list[McfgRule]:
-        """The axioms for cat, in grammar order; not to be changed."""
-        return self._axioms.get(cat, [])
 
 
 def _skeleton(cat: McfgCategory, r: int) -> Expression:
@@ -234,8 +244,11 @@ def compile_grammar(lex: Lexicon) -> CompiledGrammar:
         raise EmptyLexicon("cannot compile an empty lexicon")
     rules: list[McfgRule] = []
     agenda: list[McfgCategory] = []
+    # one object per category, so that the parser's lookups match by identity
+    interned: dict[McfgCategory, McfgCategory] = {}
     for entry in lex.entries:
         k = McfgCategory(entry.stype.lexical, (entry.stype.features,))
+        k = interned.setdefault(k, k)
         rules.append(McfgRule(k, (), (), AXIOM, entry))
         agenda.append(k)
 
@@ -250,6 +263,7 @@ def compile_grammar(lex: Lexicon) -> CompiledGrammar:
                 or len(set(licensees)) < len(licensees)):
             return      # chains that can never move out
         lhs = McfgCategory(False, comps)
+        lhs = interned.setdefault(lhs, lhs)
         pattern = tuple(tuple(_slot(t) for t in s.exponent.split())
                         for s in expr.signs)
         rules.append(McfgRule(lhs, rhs, pattern, tag))
@@ -268,8 +282,8 @@ def compile_grammar(lex: Lexicon) -> CompiledGrammar:
             derive(move, (k,))
 
     start = (Feature(BASE, START),)
-    starts = [c for c in (McfgCategory(False, (start,)),
-                          McfgCategory(True, (start,))) if c in done]
+    starts = [interned[c] for c in (McfgCategory(False, (start,)),
+                                    McfgCategory(True, (start,))) if c in done]
     by_lhs: dict[McfgCategory, list[McfgRule]] = {}
     for r in rules:
         by_lhs.setdefault(r.lhs, []).append(r)

@@ -86,19 +86,23 @@ class QueueItem:
     """A predicted category with the node indices of its components."""
     __slots__ = ("category", "indices", "order", "_hash", "_repr")
 
-    def __init__(self, category: McfgCategory, indices: tuple[NodeIndex, ...]):
+    def __init__(self, category: McfgCategory, indices: tuple[NodeIndex, ...],
+                 category_hash: int):
         self.category = category
         self.indices = indices
         # its smallest index is the item's place in the queue, and the
-        # parser sums item hashes to key its dead states
+        # parser sums item hashes to key its dead states; the category's
+        # hash comes precomputed with its rule
         self.order = indices[0] if len(indices) == 1 else min(indices)
-        self._hash = hash((category, *indices))
+        self._hash = hash((category_hash, indices))
         self._repr = None
 
     def __eq__(self, other):
         if type(other) is not QueueItem:
             return NotImplemented
-        return self.category == other.category and self.indices == other.indices
+        # a compiled grammar holds one object per category
+        return self.indices == other.indices and (
+            self.category is other.category or self.category == other.category)
 
     def __hash__(self):
         return self._hash
@@ -141,13 +145,23 @@ class RecognizeResult:
 
 
 _order = attrgetter("order")
+_hash_of = attrgetter("_hash")
 
 
 def _merge(children: tuple, tail: tuple) -> tuple[tuple, bool]:
     """The queue after an expansion: what a stable sort of children + tail
     by order gives, for a tail already in order, and whether that differs
     from children + tail.  Each child, in order, goes before the first tail
-    item that does not precede it."""
+    item that does not precede it; so when the children are in order and
+    precede the tail, which is most often, nothing moves."""
+    last = children[0].order
+    for child in children[1:]:
+        if child.order < last:
+            break
+        last = child.order
+    else:
+        if not tail or last <= tail[0].order:
+            return children + tail, False
     ordered = sorted(children, key=_order)
     queue = []
     done = 0
@@ -198,6 +212,7 @@ def _parses(grammar: CompiledGrammar, utterance: str):
     toks = tuple(utterance.split())
     length = len(toks)
     suffix_tokens = grammar.suffix_tokens
+    table = grammar.moves
     budget = MAX_STEPS
     failed: dict[int, set[str]] = {}    # tokens consumed -> tokens expected
     steps: list[Step] = []
@@ -208,67 +223,102 @@ def _parses(grammar: CompiledGrammar, utterance: str):
     # are compared in full.
     dead: dict[tuple, list[tuple]] = {}  # (len(left), left[:1], sum) -> queues
     accepts = 0
-    # the states whose moves are on the stack: (key, queue, stack height
-    # below its moves, accepts before them); each is an ancestor of the next
-    open_states: list[tuple] = []
-    # a move not yet taken: (len(steps) before it, rule, input, queue, its
-    # hash sum, input after it); a start move only visits the start prediction
-    starts = [QueueItem(c, (ROOT,)) for c in reversed(grammar.start_categories)]
-    stack = [(0, None, toks, (item,), item._hash, toks) for item in starts]
-    while stack:
-        while open_states and len(stack) <= open_states[-1][2]:
-            key, queue, _, before = open_states.pop()
-            if accepts == before:
-                dead.setdefault(key, []).append(queue)
-        n, rule, input_toks, queue, total, left = stack.pop()
-        del steps[n:]
-        if rule is not None and rule.is_axiom:
-            steps.append(Step("scan", rule, input_toks, queue))
-            total -= queue[0]._hash
-            queue = queue[1:]
-        elif rule is not None:
-            steps.append(Step("expand", rule, input_toks, queue))
-            head, tail = queue[0], queue[1:]
-            children = tuple(map(QueueItem, rule.rhs,
-                                 assign_child_indices(rule, head.indices)))
-            queue, moved = _merge(children, tail)
-            if moved:
-                steps.append(Step("sort", None, input_toks, children + tail))
-            total += sum([c._hash for c in children]) - head._hash
-        key = (len(left), left[:1], total)
-        if queue in dead.get(key, ()):
-            continue
-        if rule is not None:
-            budget -= 1
-        if budget <= 0:
-            raise ParserBudget(f"no parse within {MAX_STEPS} steps")
-        consumed = length - len(left)
-        if not queue:
-            if left:
-                failed.setdefault(consumed, set())
+    for start in grammar.start_categories:
+        item = QueueItem(start, (ROOT,), hash(start))
+        # Most states have one move, which is taken at once; a state with
+        # more opens a frame: (key, queue, hash sum, input, len(steps) and
+        # accepts before its moves, the moves not yet taken, each a rule and
+        # the input after it, and the chain of one-move states since the
+        # frame above).  A state closes when the search below it ends, and
+        # is dead if no path was accepted since it opened.
+        frames: list[tuple] = []
+        chain: list[tuple] = []         # one-move states: (key, queue)
+        # the move to take, from the state before it: the start prediction
+        # is a move from no state
+        rule, state, state_total, input_toks, left = (
+            None, (item,), item._hash, toks, toks)
+        while True:
+            if rule is None:
+                queue, total = state, state_total
+            elif rule.is_axiom:
+                steps.append(Step("scan", rule, input_toks, state))
+                queue, total = state[1:], state_total - state[0]._hash
             else:
-                accepts += 1
-                steps.append(Step("accept", None, left, queue))
-                yield list(steps)
-            continue
-        category = queue[0].category
-        axioms = grammar.axioms(category)
-        expansions = grammar.expansions(category)
-        if not axioms and not expansions:
-            failed.setdefault(consumed, set())
-        moves = []
-        here = len(steps)
-        for axiom in axioms:
-            after = _scan_tokens(axiom, left, suffix_tokens)
-            if after is None:
-                failed.setdefault(consumed, set()).add(
-                    axiom.entry.exponent or "ε")
+                steps.append(Step("expand", rule, input_toks, state))
+                head, tail = state[0], state[1:]
+                children = tuple(map(QueueItem, rule.rhs,
+                                     assign_child_indices(rule, head.indices),
+                                     rule.rhs_hashes))
+                queue, moved = _merge(children, tail)
+                if moved:
+                    steps.append(Step("sort", None, input_toks, children + tail))
+                total = state_total + sum(map(_hash_of, children)) - head._hash
+            first = left[:1]
+            reached = (len(left), first, total)
+            if queue not in dead.get(reached, ()):
+                if rule is not None:
+                    budget -= 1
+                    if budget <= 0:
+                        raise ParserBudget(f"no parse within {MAX_STEPS} steps")
+                found = table.get(queue[0].category) if queue else None
+                if found is not None:
+                    axioms, expansions = found
+                    moves = []
+                    for axiom in axioms:
+                        # a one-token axiom that meets its token, or an
+                        # empty one, needs no general scan
+                        want = axiom.tokens
+                        if want == first:
+                            after = left[1:]
+                        elif not want:
+                            after = left
+                        else:
+                            after = _scan_tokens(axiom, left, suffix_tokens)
+                        if after is None:
+                            failed.setdefault(length - len(left), set()).add(
+                                axiom.entry.exponent or "ε")
+                        else:
+                            moves.append((axiom, after))
+                    for expansion in expansions:
+                        moves.append((expansion, left))
+                    if moves:
+                        if len(moves) > 1:
+                            frames.append((reached, queue, total, left,
+                                           len(steps), accepts,
+                                           iter(moves[1:]), chain))
+                            chain = []
+                        else:
+                            chain.append((reached, queue))
+                        rule, after = moves[0]
+                        state, state_total, input_toks, left = (
+                            queue, total, left, after)
+                        continue
+                elif queue or left:
+                    failed.setdefault(length - len(left), set())
+                else:
+                    accepts += 1
+                    steps.append(Step("accept", None, left, queue))
+                    yield list(steps)
+                    chain = []          # not dead: a path was accepted
+            # a dead end: the chain closes, and so does every frame whose
+            # moves are all taken, up to one that still has a move
+            for key, closed in chain:
+                dead.setdefault(key, []).append(closed)
+            chain = []
+            while frames:
+                key, state, state_total, input_toks, here, before, moves, \
+                    above = frames[-1]
+                move = next(moves, None)
+                if move is not None:
+                    break
+                frames.pop()
+                if accepts == before:
+                    for key, closed in [(key, state), *above]:
+                        dead.setdefault(key, []).append(closed)
             else:
-                moves.append((here, axiom, left, queue, total, after))
-        moves += [(here, r, left, queue, total, left) for r in expansions]
-        if moves:
-            open_states.append((key, queue, len(stack), accepts))
-            stack += reversed(moves)
+                break
+            del steps[here:]
+            rule, left = move
     position = max(failed, default=0)
     return position, frozenset(failed.get(position, ()))
 
@@ -371,15 +421,16 @@ def _compose(path: list[Step]) -> tuple[LambdaTerm, list[tuple]]:
             deltas.append(("push", item))
             held[id(st.queue[0])] = (None if item.term is EMPTY else item,)
         elif st.op == "expand":
-            children = [held.pop(id(c)) for c in after.queue[:len(st.rule.rhs)]]
+            children = []
+            for c in after.queue[:st.rule.rank]:
+                children.append(held.pop(id(c)))
             comps = []
-            for comp in st.rule.pattern:
-                if len(comp) == 1:
-                    (r, c), = comp
-                    comps.append(children[r][c])
+            for function, (r, c) in st.rule.combine:
+                a = children[r][c]
+                if function is None:
+                    comps.append(a)
                     continue
-                r, c = comp[1] if comp[0] == (0, 0) else comp[0]
-                f, a = children[0][0], children[r][c]
+                f = children[function[0]][function[1]]
                 if f is None or a is None:
                     comps.append(a if f is None else f)
                     continue
@@ -497,7 +548,7 @@ def derivation(path: list[Step]) -> DerivationTree:
         if st.op == "scan":
             held[id(st.queue[0])] = DerivationTree.leaf(st.rule.entry)
         elif st.op == "expand":
-            kids = tuple(held.pop(id(c)) for c in after.queue[:len(st.rule.rhs)])
+            kids = tuple(held.pop(id(c)) for c in after.queue[:st.rule.rank])
             expr = _apply_rule(st.rule.provenance, [k.expression for k in kids])
             held[id(st.queue[0])] = _normalized(DerivationTree(
                 st.rule.provenance, expr, kids, sum(k.size for k in kids) + 1,
