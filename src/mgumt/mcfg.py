@@ -17,6 +17,9 @@ It also bounds the category space (every component is a suffix of an
 entry's feature list, one chain per licensee), so the closure ends.  Rules
 unreachable from the start category are pruned, which reproduces the
 published 16-rule grammar for the expert lexicon.
+
+What a parse step reads is computed here once: one object per category,
+its moves in grammar order, and per rule its scan tokens or child plans.
 """
 
 from __future__ import annotations
@@ -117,11 +120,8 @@ class McfgRule:
             for j, (r, c) in enumerate(comp):
                 plan[r][c] = (p, bytes((j,)) if len(comp) > 1 else b"")
         object.__setattr__(self, "plan", tuple(map(tuple, plan)))
-        # what the parser and the semantic queue read at every expansion:
-        # the number of rhs categories, their hashes, and per lhs component
-        # the (function, argument) slots it combines, the function being
-        # the selector or licensor (slot (0, 0)), or (None, the slot it
-        # passes through)
+        # rhs size and hashes; per lhs component the (selector or licensor,
+        # argument) slots whose meanings combine, or (None, the slot kept)
         object.__setattr__(self, "rank", len(self.rhs))
         object.__setattr__(self, "rhs_hashes", tuple(map(hash, self.rhs)))
         object.__setattr__(self, "combine", tuple(
@@ -208,13 +208,11 @@ class CompiledGrammar:
     start_categories: list[McfgCategory]
 
     def __post_init__(self):
-        # the move table: per category with a rule, its axioms and its
-        # expansions, each in grammar order
-        moves: dict[McfgCategory, tuple[list, list]] = {}
+        # per category with a rule: its axioms and its expansions, in order;
+        # not to be changed
+        self.moves: dict[McfgCategory, tuple[list, list]] = {}
         for rule in self.rules:
-            moves.setdefault(rule.lhs, ([], []))[not rule.is_axiom].append(rule)
-        self.moves = {cat: (tuple(axioms), tuple(expansions))
-                      for cat, (axioms, expansions) in moves.items()}
+            self.moves.setdefault(rule.lhs, ([], []))[not rule.is_axiom].append(rule)
         # the suffix tokens ("-s") the axioms spell, which a scan may split
         # off the end of an input token
         self.suffix_tokens = {t for r in self.rules if r.is_axiom
@@ -345,13 +343,9 @@ def enumerate_strings(grammar: CompiledGrammar, max_steps: int) -> set[str]:
                 if steps > max_steps:
                     continue
                 strings = [parts for parts, _ in combo]
-                built = []
-                for comp in rule.pattern:
-                    pieces = []
-                    for r, c in comp:
-                        pieces.append(strings[r][c])
-                    built.append(_join(pieces))
-                item = (tuple(built), steps)
+                built = tuple(_join([strings[r][c] for r, c in comp])
+                              for comp in rule.pattern)
+                item = (built, steps)
                 bucket = table.setdefault(rule.lhs, set())
                 if item not in bucket:
                     bucket.add(item)

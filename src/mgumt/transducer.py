@@ -9,9 +9,9 @@ one step of its budget is a scan or expansion into a new or live state,
 and only exponentially many accepting paths exhaust it.  Node indices are
 `bytes`, which compare, copy and hash as whole blocks, and a state's
 key carries its queue as a running sum of item hashes, updated for the
-items a step pops and pushes; so what a step costs grows neither with the
-length of its indices nor with a rehash of the queue, only with copying
-the queue.
+items a step pops and pushes.  What a step reads of the grammar is fixed
+when it is compiled (see `mcfg`), so a step costs a table lookup, a few
+objects, and a copy of the queue, which grows with the queue.
 
 The meaning of a path comes from a second queue, sorted in reverse index
 order, that holds every scanned sign's semantics: the path's expansions,
@@ -52,7 +52,7 @@ from .mcfg import (
 )
 from .terms import (
     EMPTY, LambdaTerm, App, NonTerminating, alpha_canonical, beta_reduce,
-    beta_step, render_term,
+    beta_step, constants, render_term,
 )
 
 # steps the parser may take, and reductions the semantic queue may make
@@ -91,8 +91,7 @@ class QueueItem:
         self.category = category
         self.indices = indices
         # its smallest index is the item's place in the queue, and the
-        # parser sums item hashes to key its dead states; the category's
-        # hash comes precomputed with its rule
+        # parser sums item hashes (the category's from its rule) to key states
         self.order = indices[0] if len(indices) == 1 else min(indices)
         self._hash = hash((category_hash, indices))
         self._repr = None
@@ -100,8 +99,7 @@ class QueueItem:
     def __eq__(self, other):
         if type(other) is not QueueItem:
             return NotImplemented
-        # a compiled grammar holds one object per category
-        return self.indices == other.indices and (
+        return self.indices == other.indices and (  # interned categories
             self.category is other.category or self.category == other.category)
 
     def __hash__(self):
@@ -152,8 +150,7 @@ def _merge(children: tuple, tail: tuple) -> tuple[tuple, bool]:
     """The queue after an expansion: what a stable sort of children + tail
     by order gives, for a tail already in order, and whether that differs
     from children + tail.  Each child, in order, goes before the first tail
-    item that does not precede it; so when the children are in order and
-    precede the tail, which is most often, nothing moves."""
+    item that does not precede it; children in order before the tail stay."""
     last = children[0].order
     for child in children[1:]:
         if child.order < last:
@@ -223,36 +220,29 @@ def _parses(grammar: CompiledGrammar, utterance: str):
     # are compared in full.
     dead: dict[tuple, list[tuple]] = {}  # (len(left), left[:1], sum) -> queues
     accepts = 0
+    # the states whose search is under way, each an ancestor of the next:
+    # (key, queue, accepts before its moves), and for a state with moves
+    # left (hash sum, input, len(steps) before its moves, the moves left)
+    open_states: list[tuple] = []
     for start in grammar.start_categories:
         item = QueueItem(start, (ROOT,), hash(start))
-        # Most states have one move, which is taken at once; a state with
-        # more opens a frame: (key, queue, hash sum, input, len(steps) and
-        # accepts before its moves, the moves not yet taken, each a rule and
-        # the input after it, and the chain of one-move states since the
-        # frame above).  A state closes when the search below it ends, and
-        # is dead if no path was accepted since it opened.
-        frames: list[tuple] = []
-        chain: list[tuple] = []         # one-move states: (key, queue)
-        # the move to take, from the state before it: the start prediction
-        # is a move from no state
-        rule, state, state_total, input_toks, left = (
-            None, (item,), item._hash, toks, toks)
+        # the move to take from the state (queue, total, input_toks), and
+        # the input after it; the start prediction is no move
+        rule, queue, total, left = None, (item,), item._hash, toks
         while True:
-            if rule is None:
-                queue, total = state, state_total
-            elif rule.is_axiom:
-                steps.append(Step("scan", rule, input_toks, state))
-                queue, total = state[1:], state_total - state[0]._hash
-            else:
-                steps.append(Step("expand", rule, input_toks, state))
-                head, tail = state[0], state[1:]
+            if rule is not None and rule.is_axiom:
+                steps.append(Step("scan", rule, input_toks, queue))
+                queue, total = queue[1:], total - queue[0]._hash
+            elif rule is not None:
+                steps.append(Step("expand", rule, input_toks, queue))
+                head, tail = queue[0], queue[1:]
                 children = tuple(map(QueueItem, rule.rhs,
                                      assign_child_indices(rule, head.indices),
                                      rule.rhs_hashes))
                 queue, moved = _merge(children, tail)
                 if moved:
                     steps.append(Step("sort", None, input_toks, children + tail))
-                total = state_total + sum(map(_hash_of, children)) - head._hash
+                total += sum(map(_hash_of, children)) - head._hash
             first = left[:1]
             reached = (len(left), first, total)
             if queue not in dead.get(reached, ()):
@@ -265,15 +255,9 @@ def _parses(grammar: CompiledGrammar, utterance: str):
                     axioms, expansions = found
                     moves = []
                     for axiom in axioms:
-                        # a one-token axiom that meets its token, or an
-                        # empty one, needs no general scan
-                        want = axiom.tokens
-                        if want == first:
-                            after = left[1:]
-                        elif not want:
-                            after = left
-                        else:
-                            after = _scan_tokens(axiom, left, suffix_tokens)
+                        # a one-token axiom that meets its token needs no scan
+                        after = (left[1:] if axiom.tokens == first else
+                                 _scan_tokens(axiom, left, suffix_tokens))
                         if after is None:
                             failed.setdefault(length - len(left), set()).add(
                                 axiom.entry.exponent or "ε")
@@ -282,16 +266,13 @@ def _parses(grammar: CompiledGrammar, utterance: str):
                     for expansion in expansions:
                         moves.append((expansion, left))
                     if moves:
-                        if len(moves) > 1:
-                            frames.append((reached, queue, total, left,
-                                           len(steps), accepts,
-                                           iter(moves[1:]), chain))
-                            chain = []
-                        else:
-                            chain.append((reached, queue))
+                        # a state with one move, as most are, keeps no frame
+                        open_states.append(
+                            (reached, queue, accepts) if len(moves) == 1 else
+                            (reached, queue, accepts, total, left, len(steps),
+                             iter(moves[1:])))
                         rule, after = moves[0]
-                        state, state_total, input_toks, left = (
-                            queue, total, left, after)
+                        input_toks, left = left, after
                         continue
                 elif queue or left:
                     failed.setdefault(length - len(left), set())
@@ -299,24 +280,17 @@ def _parses(grammar: CompiledGrammar, utterance: str):
                     accepts += 1
                     steps.append(Step("accept", None, left, queue))
                     yield list(steps)
-                    chain = []          # not dead: a path was accepted
-            # a dead end: the chain closes, and so does every frame whose
-            # moves are all taken, up to one that still has a move
-            for key, closed in chain:
-                dead.setdefault(key, []).append(closed)
-            chain = []
-            while frames:
-                key, state, state_total, input_toks, here, before, moves, \
-                    above = frames[-1]
-                move = next(moves, None)
-                if move is not None:
+            # a dead end: the states above close, up to one with a move left
+            while open_states:
+                top = open_states[-1]
+                if len(top) > 3 and (move := next(top[6], None)):
                     break
-                frames.pop()
-                if accepts == before:
-                    for key, closed in [(key, state), *above]:
-                        dead.setdefault(key, []).append(closed)
+                open_states.pop()
+                if accepts == top[2]:
+                    dead.setdefault(top[0], []).append(top[1])
             else:
                 break
+            _, queue, _, total, input_toks, here, _ = top
             del steps[here:]
             rule, left = move
     position = max(failed, default=0)
@@ -389,7 +363,8 @@ def _compose(path: list[Step]) -> tuple[LambdaTerm, list[tuple]]:
     and the combined item takes the parent of the deeper index; a
     single-slot component passes its item through, so a merge-3 or move-2
     chain keeps its meaning until it lands.  Redexes left in a combined
-    item, or in the final one, are contracted one β-step at a time.
+    item, or in the final one, are contracted one β-step at a time.  The
+    rule's combine plan says which slots combine and which pass through.
 
     The meaning needs no queue, so none is kept: the deltas record each
     item pushed ("push", item; in reverse path order), each combination
@@ -415,17 +390,15 @@ def _compose(path: list[Step]) -> tuple[LambdaTerm, list[tuple]]:
 
     # a prediction is expanded or scanned after the expansion that made it,
     # so the reversed path reaches every expansion after its children
-    for after, st in pairwise(reversed(path)):
-        if st.op == "scan":
-            item = SemItem(st.rule.entry.semantics, st.queue[0].indices[0])
+    for after, (op, rule, _input, queue) in pairwise(reversed(path)):
+        if op == "scan":
+            item = SemItem(rule.entry.semantics, queue[0].indices[0])
             deltas.append(("push", item))
-            held[id(st.queue[0])] = (None if item.term is EMPTY else item,)
-        elif st.op == "expand":
-            children = []
-            for c in after.queue[:st.rule.rank]:
-                children.append(held.pop(id(c)))
+            held[id(queue[0])] = (None if item.term is EMPTY else item,)
+        elif op == "expand":
+            children = [held.pop(id(c)) for c in after.queue[:rule.rank]]
             comps = []
-            for function, (r, c) in st.rule.combine:
+            for function, (r, c) in rule.combine:
                 a = children[r][c]
                 if function is None:
                     comps.append(a)
@@ -440,22 +413,9 @@ def _compose(path: list[Step]) -> tuple[LambdaTerm, list[tuple]]:
                                    max(f.index, a.index).parent())
                 deltas.append(("combine", f, a, combined))
                 comps.append(settle(combined))
-            held[id(st.queue[0])] = tuple(comps)
+            held[id(queue[0])] = tuple(comps)
     (root,) = held[id(path[0].queue[0])]
     return (EMPTY if root is None else settle(root).term), deltas
-
-
-def _below(queue: list[SemItem], index: NodeIndex) -> int:
-    """The first place in queue, sorted by descending index, whose index is
-    below index."""
-    lo, hi = 0, len(queue)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if queue[mid].index < index:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
 
 
 def _semantic_rows(path: list[Step], deltas: list[tuple]) -> list[Step]:
@@ -480,8 +440,12 @@ def _semantic_rows(path: list[Step], deltas: list[tuple]) -> list[Step]:
         rows.append(Step("sort", None, (), tuple(queue)))
     queue = ordered
 
+    def below(index: NodeIndex) -> int:
+        """The first place in the queue whose index is below index."""
+        return bisect_left(queue, True, key=lambda item: item.index < index)
+
     def find(item: SemItem) -> int:
-        at = _below(queue, item.index) - 1
+        at = below(item.index) - 1
         while queue[at] is not item:
             at -= 1
         return at
@@ -494,7 +458,7 @@ def _semantic_rows(path: list[Step], deltas: list[tuple]) -> list[Step]:
             f, a, combined = items
             del queue[find(f)]
             del queue[find(a)]
-            queue.insert(_below(queue, combined.index), combined)
+            queue.insert(below(combined.index), combined)
         else:
             old, contracted = items
             queue[find(old)] = contracted
@@ -517,12 +481,19 @@ def produce(lexicon: Lexicon, meaning: LambdaTerm,
     final semantics matches the meaning; further distinct exponents are
     reported as alternatives, not errors.
 
-    The search is bounded by the β-normal meaning's constants, which
-    changes nothing it finds (see `complete_derivations`) but leaves out
-    everything that cannot end in the meaning.  So `Unrealizable` says
+    A derived meaning's free names all come from entries, so `Unrealizable`
+    names any constant of the meaning that no entry carries, before any
+    search.  The search is bounded by the β-normal meaning's constants,
+    which changes nothing it finds (see `complete_derivations`) but leaves
+    out everything that cannot end in the meaning.  So `Unrealizable` says
     "(budget exhausted)" only when a derivation within the bound went over
     the budget; without it, no derivation of the meaning exists."""
     meaning = beta_reduce(meaning)
+    carried = set().union(*(constants(e.semantics) for e in lexicon.entries))
+    missing = sorted(constants(meaning).keys() - carried)
+    if missing:
+        raise Unrealizable(f"no derivation yields {render_term(meaning)}: "
+                           f"no entry carries {', '.join(missing)}")
     search = complete_derivations(lexicon, budget, meaning=meaning)
     target = alpha_canonical(meaning)
     matches = [t for t in search.complete

@@ -1,13 +1,18 @@
 """Layer micro-benchmarks of the transducer: `recognize` and the semantic
 queue (`understand`) on clause embeddings of growing depth, the meaning
 alone against the rebuilt semantic trace, every reading of a homophone
-sentence, and the rejection of a long one.  The suite does not collect
-this file; run it on its own:
+sentence, the rejection of a long one, and the two kinds of operation
+behind the benchmark's `understand` workload: a sentence of a 60-entry
+lexicon shaped like the teaching gold, and a rejected depth-40 embedding.
+The suite does not collect this file; run it on its own:
 
     PYTHONPATH=src python -m pytest tests/bench_transducer.py
 """
 
+import random
+
 import pytest
+from test_transducer import teaching_gold_shaped
 
 from mgumt.fixtures import TABLE_ONE
 from mgumt.grammar import load_lexicon
@@ -57,5 +62,23 @@ def test_understand_rejects_old20(benchmark):
     def rejected():
         with pytest.raises(ParseRejected):
             understand(HOMOPHONES, "the " + "old " * 20 + "mouse cheese eats")
+
+    benchmark(rejected)
+
+
+def test_understand_teaching_gold_60(benchmark):
+    text, sentences = teaching_gold_shaped(random.Random(60), 60)
+    grammar = compile_grammar(load_lexicon(text))
+    got = benchmark(understand, grammar, sentences[0])
+    assert got.parse.accepted
+
+
+def test_understand_rejects_embedding_40(benchmark):
+    words = embedded(40).split()
+    words[-2:] = words[-1], words[-2]
+
+    def rejected():
+        with pytest.raises(ParseRejected):
+            understand(EMBEDDING, " ".join(words))
 
     benchmark(rejected)

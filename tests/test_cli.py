@@ -73,6 +73,14 @@ def test_produce_unrealizable(gold_path, capsys):
                  "--meaning", "sleep(mouse)"]) == 1
 
 
+def test_produce_names_the_missing_constant(gold_path, capsys):
+    assert main(["produce", "--lexicon", gold_path,
+                 "--meaning", "eat(cheese)(rats)"]) == 1
+    assert capsys.readouterr().out == (
+        "unrealizable\tno derivation yields eat(cheese)(rats): "
+        "no entry carries rats\n")
+
+
 RECURSIVE_OLD = TABLE_ONE + "old\t::\t=n n\t\\x.old(x)\n"
 SRC = Path(__file__).resolve().parents[1] / "src"
 

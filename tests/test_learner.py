@@ -149,6 +149,15 @@ def test_express_unrealizable_propagates():
         express(s, p("sleep(mouse)"))
 
 
+def test_unrealizable_names_the_missing_constant():
+    # the session folds rats onto rat, so no entry carries rats any more
+    _, learner = run_session(GoldGrammar(teaching_gold()), SESSION_SCRIPT)
+    with pytest.raises(Unrealizable, match=(
+            r"^no derivation yields eat\(cheese\)\(rats\): "
+            r"no entry carries rats$")):
+        express(learner, p("eat(cheese)(rats)"))
+
+
 # --- repair -----------------------------------------------------------------------
 
 def full_session_state():

@@ -6,12 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from mgumt.fixtures import TABLE_ONE, TEACHING_GOLD, table_one, teaching_gold
 from mgumt.grammar import (
-    LexiconError, complete_derivations, expression_key, is_complete,
-    load_lexicon, replay,
+    BASE, Feature, LexiconError, complete_derivations, expression_key,
+    is_complete, load_lexicon, replay,
 )
 from mgumt import transducer
 from mgumt.learner import LearnerState
-from mgumt.mcfg import assign_child_indices, compile_grammar, enumerate_strings
+from mgumt.mcfg import (
+    McfgCategory, assign_child_indices, compile_grammar, enumerate_strings,
+)
 from mgumt.terms import (
     EMPTY, App, alpha_canonical, alpha_equivalent, constants, parse_term,
     render_term, v,
@@ -511,6 +513,54 @@ def test_property_closure_processes_each_expression_once(text):
             first.setdefault(
                 (t.sign.exponent, alpha_canonical(t.sign.semantics)), t)
     assert list(map(id, search.complete)) == list(map(id, first.values())), text
+
+
+# --- the parser's move tables --------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(tiered_lexicons(), st.sampled_from(
+    [TABLE_ONE, TEACHING_GOLD, EMBEDDING_TEXT, HOMOPHONE_TEXT])))
+def test_property_move_tables_follow_the_rules(text):
+    # the parser's depth-first order, which the published traces depend on,
+    # is the grammar's rule order: the table must keep it
+    try:
+        lex = load_lexicon(text)
+    except LexiconError:
+        return      # a drawn entry repeats another
+    grammar = compile_grammar(lex)
+    categories = {McfgCategory(e.stype.lexical, (e.stype.features,))
+                  for e in lex.entries}     # pruned ones have no rules
+    categories.add(McfgCategory(False, ((Feature(BASE, "nowhere"),),)))
+    for rule in grammar.rules:
+        categories.add(rule.lhs)
+        categories.update(rule.rhs)
+    for category in categories:
+        rules = [r for r in grammar.rules if r.lhs == category]
+        if not rules:
+            assert category not in grammar.moves, (text, category)
+            continue
+        assert grammar.moves[category] == (
+            [r for r in rules if r.is_axiom],
+            [r for r in rules if not r.is_axiom]), (text, category)
+    # one object per category: the parser's lookups match by identity
+    keys = {id(c) for c in grammar.moves}
+    assert all(id(c) in keys for r in grammar.rules for c in r.rhs)
+    assert all(id(c) in keys for c in grammar.start_categories)
+    for rule in grammar.rules:
+        if rule.is_axiom:
+            continue
+        assert rule.rank == len(rule.rhs)
+        assert rule.rhs_hashes == tuple(hash(c) for c in rule.rhs)
+        plan = []
+        for comp in rule.pattern:
+            if len(comp) == 1:
+                plan.append((None, comp[0]))
+            else:
+                # merge and move concatenate the selector's or licensor's
+                # head with one other component
+                assert len(comp) == 2 and (0, 0) in comp, rule
+                plan.append(((0, 0), comp[comp.index((0, 0)) - 1]))
+        assert rule.combine == tuple(plan), rule
 
 
 def test_replay_deep_derivation():
