@@ -190,7 +190,7 @@ def assign_child_indices(rule: McfgRule, parent_indices) -> list[tuple[NodeIndex
         raise ArityMismatch(
             f"{rule.lhs!r} has arity {rule.lhs.arity}, got {len(parent_indices)}")
     children = []
-    for row in rule.plan:       # loops, not comprehensions: each is a call
+    for row in rule.plan:       # loops: a comprehension costs a call of its own
         child = []
         for p, d in row:
             child.append(NodeIndex(parent_indices[p] + d) if d
