@@ -120,9 +120,8 @@ class McfgRule:
             for j, (r, c) in enumerate(comp):
                 plan[r][c] = (p, bytes((j,)) if len(comp) > 1 else b"")
         object.__setattr__(self, "plan", tuple(map(tuple, plan)))
-        # rhs size and hashes; per lhs component the (selector or licensor,
-        # argument) slots whose meanings combine, or (None, the slot kept)
-        object.__setattr__(self, "rank", len(self.rhs))
+        # rhs hashes; per lhs component the (selector or licensor, argument)
+        # slots whose meanings combine, or (None, the slot kept)
         object.__setattr__(self, "rhs_hashes", tuple(map(hash, self.rhs)))
         object.__setattr__(self, "combine", tuple(
             (None, comp[0]) if len(comp) == 1
@@ -343,9 +342,13 @@ def enumerate_strings(grammar: CompiledGrammar, max_steps: int) -> set[str]:
                 if steps > max_steps:
                     continue
                 strings = [parts for parts, _ in combo]
-                built = tuple(_join([strings[r][c] for r, c in comp])
-                              for comp in rule.pattern)
-                item = (built, steps)
+                built = []
+                for comp in rule.pattern:
+                    pieces = []
+                    for r, c in comp:
+                        pieces.append(strings[r][c])
+                    built.append(_join(pieces))
+                item = (tuple(built), steps)
                 bucket = table.setdefault(rule.lhs, set())
                 if item not in bucket:
                     bucket.add(item)

@@ -192,7 +192,9 @@ def _scan_tokens(axiom: McfgRule, input_toks, suffix_tokens):
 def _parses(grammar: CompiledGrammar, utterance: str):
     """Top-down search with chronological backtracking, depth first over an
     explicit stack: start categories in grammar order, then at each state
-    axioms before expansions, each in grammar order.
+    axioms before expansions, each in grammar order.  A state's moves are
+    one lookup in the grammar's move table, a rule's children come from its
+    plans, and what a move still costs grows with the queue it copies.
 
     Yields the steps of every accepting path in turn, and returns the
     deepest failure: (tokens consumed, tokens expected there).
@@ -221,10 +223,11 @@ def _parses(grammar: CompiledGrammar, utterance: str):
     dead: dict[tuple, list[tuple]] = {}  # (len(left), left[:1], sum) -> queues
     accepts = 0
     # the states whose search is under way, each an ancestor of the next:
-    # (key, queue, accepts before its moves), and for a state with moves
-    # left (hash sum, input, len(steps) before its moves, the moves left)
+    # (key, queue, accepts before its moves, hash sum, input, len(steps)
+    # before its moves, its moves left or None)
     open_states: list[tuple] = []
     for start in grammar.start_categories:
+        steps.clear()   # the rows of the previous start's last path
         item = QueueItem(start, (ROOT,), hash(start))
         # the move to take from the state (queue, total, input_toks), and
         # the input after it; the start prediction is no move
@@ -243,8 +246,7 @@ def _parses(grammar: CompiledGrammar, utterance: str):
                 if moved:
                     steps.append(Step("sort", None, input_toks, children + tail))
                 total += sum(map(_hash_of, children)) - head._hash
-            first = left[:1]
-            reached = (len(left), first, total)
+            reached = (len(left), left[:1], total)
             if queue not in dead.get(reached, ()):
                 if rule is not None:
                     budget -= 1
@@ -255,9 +257,7 @@ def _parses(grammar: CompiledGrammar, utterance: str):
                     axioms, expansions = found
                     moves = []
                     for axiom in axioms:
-                        # a one-token axiom that meets its token needs no scan
-                        after = (left[1:] if axiom.tokens == first else
-                                 _scan_tokens(axiom, left, suffix_tokens))
+                        after = _scan_tokens(axiom, left, suffix_tokens)
                         if after is None:
                             failed.setdefault(length - len(left), set()).add(
                                 axiom.entry.exponent or "ε")
@@ -266,11 +266,9 @@ def _parses(grammar: CompiledGrammar, utterance: str):
                     for expansion in expansions:
                         moves.append((expansion, left))
                     if moves:
-                        # a state with one move, as most are, keeps no frame
                         open_states.append(
-                            (reached, queue, accepts) if len(moves) == 1 else
                             (reached, queue, accepts, total, left, len(steps),
-                             iter(moves[1:])))
+                             iter(moves[1:]) if len(moves) > 1 else None))
                         rule, after = moves[0]
                         input_toks, left = left, after
                         continue
@@ -283,7 +281,7 @@ def _parses(grammar: CompiledGrammar, utterance: str):
             # a dead end: the states above close, up to one with a move left
             while open_states:
                 top = open_states[-1]
-                if len(top) > 3 and (move := next(top[6], None)):
+                if top[6] is not None and (move := next(top[6], None)):
                     break
                 open_states.pop()
                 if accepts == top[2]:
@@ -396,7 +394,7 @@ def _compose(path: list[Step]) -> tuple[LambdaTerm, list[tuple]]:
             deltas.append(("push", item))
             held[id(queue[0])] = (None if item.term is EMPTY else item,)
         elif op == "expand":
-            children = [held.pop(id(c)) for c in after.queue[:rule.rank]]
+            children = [held.pop(id(c)) for c in after.queue[:len(rule.rhs)]]
             comps = []
             for function, (r, c) in rule.combine:
                 a = children[r][c]
@@ -416,6 +414,19 @@ def _compose(path: list[Step]) -> tuple[LambdaTerm, list[tuple]]:
             held[id(queue[0])] = tuple(comps)
     (root,) = held[id(path[0].queue[0])]
     return (EMPTY if root is None else settle(root).term), deltas
+
+
+def _below(queue: list[SemItem], index: NodeIndex) -> int:
+    """The first place in queue, sorted by descending index, whose index is
+    below index."""
+    lo, hi = 0, len(queue)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if queue[mid].index < index:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def _semantic_rows(path: list[Step], deltas: list[tuple]) -> list[Step]:
@@ -440,12 +451,8 @@ def _semantic_rows(path: list[Step], deltas: list[tuple]) -> list[Step]:
         rows.append(Step("sort", None, (), tuple(queue)))
     queue = ordered
 
-    def below(index: NodeIndex) -> int:
-        """The first place in the queue whose index is below index."""
-        return bisect_left(queue, True, key=lambda item: item.index < index)
-
     def find(item: SemItem) -> int:
-        at = below(item.index) - 1
+        at = _below(queue, item.index) - 1
         while queue[at] is not item:
             at -= 1
         return at
@@ -458,7 +465,7 @@ def _semantic_rows(path: list[Step], deltas: list[tuple]) -> list[Step]:
             f, a, combined = items
             del queue[find(f)]
             del queue[find(a)]
-            queue.insert(below(combined.index), combined)
+            queue.insert(_below(queue, combined.index), combined)
         else:
             old, contracted = items
             queue[find(old)] = contracted
@@ -519,7 +526,7 @@ def derivation(path: list[Step]) -> DerivationTree:
         if st.op == "scan":
             held[id(st.queue[0])] = DerivationTree.leaf(st.rule.entry)
         elif st.op == "expand":
-            kids = tuple(held.pop(id(c)) for c in after.queue[:st.rule.rank])
+            kids = tuple(held.pop(id(c)) for c in after.queue[:len(st.rule.rhs)])
             expr = _apply_rule(st.rule.provenance, [k.expression for k in kids])
             held[id(st.queue[0])] = _normalized(DerivationTree(
                 st.rule.provenance, expr, kids, sum(k.size for k in kids) + 1,

@@ -138,6 +138,20 @@ def test_empty_language_names_the_start_category():
         understand(grammar, "mouse")
 
 
+def test_second_start_category_starts_a_fresh_trace():
+    # the derived c is searched first and leaves a path explored; a parse
+    # through the lexical c holds none of its rows
+    grammar = compile_grammar(load_lexicon(TABLE_ONE + "yes\t::\tc\tyes\n"))
+    assert len(grammar.start_categories) == 2
+    assert recognize(grammar, "yes").operations() == ["scan", "accept"]
+    u = understand(grammar, "yes")
+    assert [s.op for s in u.steps] == ["scan", "understand"]
+    assert render_term(u.meaning) == "yes"
+    assert derivation(recognize(grammar, "yes").steps).children == ()
+    u = understand(grammar, "the mouse eats cheese")
+    assert render_term(u.meaning) == "eat(cheese)(mouse)"
+
+
 def test_recognize_empty_string_grammar():
     g = compile_grammar(load_lexicon("eps\t::\tc\tmouse\n"))
     r = recognize(g, "")
@@ -549,7 +563,6 @@ def test_property_move_tables_follow_the_rules(text):
     for rule in grammar.rules:
         if rule.is_axiom:
             continue
-        assert rule.rank == len(rule.rhs)
         assert rule.rhs_hashes == tuple(hash(c) for c in rule.rhs)
         plan = []
         for comp in rule.pattern:
