@@ -6,9 +6,9 @@ from .grammar import (
     Expression, Feature, Lexicon, Sign, SyntacticType, complete_derivations,
     load_lexicon, merge, move, save_lexicon,
 )
-from .learner import LearnerState, align, express, factor, ingest, repair
+from .learner import LearnerState, align, express, ingest, repair
 from .mcfg import CompiledGrammar, McfgCategory, McfgRule, NodeIndex, compile_grammar
-from .teacher import GoldGrammar, Verdict, judge, run_session
+from .teacher import GoldGrammar, Verdict, judge, reinforce, run_session
 from .terms import (
     EMPTY, Abs, App, LambdaTerm, Var, alpha_equivalent, beta_reduce,
     parse_term, render_term,

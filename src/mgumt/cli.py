@@ -18,9 +18,12 @@ from .grammar import (
     LexiconError, complete_derivations, load_lexicon, render_sign,
     save_lexicon,
 )
-from .learner import LearnerState, NoRepairFound, express, ingest, repair
+from .learner import LearnerState, express, ingest
 from .mcfg import EmptyLexicon, compile_grammar, rule_dump
-from .teacher import GoldGrammar, ScriptInvalid, judge, parse_script, run_session
+from .teacher import (
+    GoldGrammar, GoldLexiconInvalid, ScriptInvalid, judge, parse_script,
+    reinforce, run_session,
+)
 from .terms import NonTerminating, TermSyntaxError, parse_term, render_term
 from .transducer import (
     UMP, ParseRejected, ParserBudget, Unrealizable, derivations, produce,
@@ -28,7 +31,7 @@ from .transducer import (
 )
 
 FORMAT_ERRORS = (LexiconError, TermSyntaxError, ScriptInvalid, EmptyLexicon,
-                 FileNotFoundError, ValueError)
+                 GoldLexiconInvalid, FileNotFoundError, ValueError)
 # the parser's step budget, a meaning that does not normalize, and the term
 # layer's recursion, which very deep embeddings still exhaust
 LIMIT_ERRORS = (RecursionError, NonTerminating, ParserBudget)
@@ -151,26 +154,31 @@ def cmd_repl(args) -> int:
                 utt, _, term = rest.partition("|")
                 ingest(learner, UMP(utt.strip(), parse_term(term.strip())))
                 print(f"ok, lexicon has {len(learner.lexicon)} entries")
-            elif op == "ask":
-                meaning = parse_term(rest.strip())
-                try:
-                    said = express(learner, meaning)
-                except Unrealizable:
-                    print("(cannot express that)")
-                    pending = None
-                    continue
-                pending = (said.utterance, meaning)
-                print(said.utterance)
-                if gold is not None:
-                    verdict = judge(gold, said.utterance, meaning)
+            elif op in ("ask", "yes", "no"):
+                if op == "ask":
+                    meaning = parse_term(rest.strip())
+                    try:
+                        said = express(learner, meaning)
+                    except Unrealizable:
+                        print("(cannot express that)")
+                        pending = None
+                        continue
+                    pending = (said.utterance, meaning)
+                    print(said.utterance)
+                    if gold is None:
+                        continue
+                    verdict = judge(gold, *pending)
                     print(f"teacher: {verdict.value}")
-                    _feedback(learner, pending, verdict.is_reject)
-                    pending = None
-            elif op in ("yes", "no"):
-                if pending is None:
+                    endorsed = not verdict.is_reject
+                elif pending is None:
                     print("nothing to judge")
                     continue
-                _feedback(learner, pending, op == "no")
+                else:
+                    endorsed = op == "yes"
+                if not reinforce(learner, *pending, endorsed):
+                    print("no repair applies; punishment logged")
+                elif not endorsed:
+                    print("lexicon repaired")
                 pending = None
             elif op == "lexicon":
                 sys.stdout.write(save_lexicon(learner.lexicon) or "(empty)\n")
@@ -183,18 +191,6 @@ def cmd_repl(args) -> int:
         except FORMAT_ERRORS + LIMIT_ERRORS as exc:
             print(f"error: {exc}")
     return 0
-
-
-def _feedback(learner, pending, rejected):
-    utterance, meaning = pending
-    if rejected:
-        try:
-            repair(learner, (utterance, meaning))
-            print("lexicon repaired")
-        except NoRepairFound:
-            print("no repair applies; punishment logged")
-    else:
-        learner.endorsed.append(UMP(utterance, meaning))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -17,8 +17,8 @@ from collections import Counter
 from dataclasses import dataclass, field, replace as dc_replace
 
 from .terms import (
-    LambdaTerm, alpha_canonical, apply, beta_step, constants, is_normal,
-    parse_term, render_term,
+    LambdaTerm, NonTerminating, alpha_canonical, apply, beta_step, constants,
+    is_normal, parse_term, render_term,
 )
 
 BASE, SEL, POS, NEG = "base", "sel", "pos", "neg"
@@ -382,13 +382,17 @@ def replay(tree: DerivationTree) -> Expression:
 
 def _normalized(tree: DerivationTree) -> DerivationTree:
     """Wrap explicit λ-app nodes until the head semantics is normal, each
-    built from the β-step that found its redex."""
-    while (stepped := beta_step(tree.expression.head.semantics)) is not None:
+    built from the β-step that found its redex; as in `beta_reduce`, a head
+    not normal within 10,000 steps raises NonTerminating."""
+    for _ in range(10_000):
+        stepped = beta_step(tree.expression.head.semantics)
+        if stepped is None:
+            return tree
         signs = tree.expression.signs
         expr = Expression((dc_replace(signs[0], semantics=stepped),) + signs[1:])
         tree = DerivationTree("λ-app", expr, (tree,), tree.size + 1,
                               tree.structural_size)
-    return tree
+    raise NonTerminating("no normal form within 10000 steps")
 
 
 @dataclass

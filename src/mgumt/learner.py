@@ -9,17 +9,18 @@ in one span and their meanings in one position, the residues are split out,
 the shared remainder becomes a template whose semantics is obtained by lambda
 abstraction, and unknown tokens analogous to known entries (a shared
 character stem, or the position carrying the semantic residue) receive
-copied entries.  Every revision must keep all previously endorsed pairs
-derivable, otherwise it is rolled back; as with the teacher, a pair derives
-when the parser gives the utterance that meaning, with each lexicon compiled
-to an MCFG once.  A pair's last parse is kept as a witness (the entries it
-scanned), and a revision that keeps all of them cannot lose the pair, so
-only the pairs whose witness lost an entry are parsed again.
+copied entries.  Each revision is staged on a copy of the state, and one
+gate (`_apply_gate`) commits it only if all endorsed pairs stay derivable:
+as with the teacher, a pair derives when the parser gives the utterance that
+meaning, with each lexicon compiled to an MCFG once.  A pair's last parse is
+kept as a witness (the entries it scanned), and a revision that keeps all of
+them cannot lose the pair, so only the pairs whose witness lost an entry are
+parsed again.
 
-Punishment triggers lexicon repair: the morpheme split extracts a suffix
-paradigm (rat/rats) into a movement-licensed number layer, and suppletion
-blocking retires a regular cell once an irregular filler (mice) has been
-endorsed.
+The teacher's `reinforce` adds an endorsed pair to the evidence and hands a
+punished one to `repair`: the morpheme split extracts a suffix paradigm
+(rat/rats) into a movement-licensed number layer, and suppletion blocking
+retires a regular cell once an irregular filler (mice) has been endorsed.
 """
 
 from __future__ import annotations
@@ -42,10 +43,6 @@ from .terms import (
 from .transducer import UMP, ProduceResult, derivation, match_meaning, produce
 
 MIN_STEM_CHARS = 3      # the shortest character stem two words can share
-
-
-class FactoringRegression(Exception):
-    pass
 
 
 class NoRepairFound(Exception):
@@ -160,7 +157,9 @@ def align(a, b):
     blocks, the one span where both have tokens of their own (each side's
     residue), and the single position where their meanings differ (None
     when they differ in more than one).  None when the two share no block or
-    differ in more than one span."""
+    differ in more than one span.  The kind says how to stage it: analogy
+    against an endorsed pair, window against an entry whose features differ
+    from the source's, pair otherwise."""
     ta, tb = a.exponent.split(), b.exponent.split()
     blocks = common_blocks(ta, tb)
     if not blocks:
@@ -168,7 +167,13 @@ def align(a, b):
     both = [gap for gap in _gaps(ta, tb, blocks) if gap[0] and gap[1]]
     if len(both) != 1:
         return None
-    return Alignment("pair", [ta[i:i + n] for i, _, n in blocks], both[0],
+    if isinstance(b, UMP):
+        kind = "analogy"
+    elif _as_pseudo_sign(a).stype.features != b.stype.features:
+        kind = "window"
+    else:
+        kind = "pair"
+    return Alignment(kind, [ta[i:i + n] for i, _, n in blocks], both[0],
                      semantic_diff(_sem(a), _sem(b)), blocks, source=a,
                      target=b, score=sum(n for *_, n in blocks))
 
@@ -232,15 +237,8 @@ class LearnerState:
     def map_meaning(self, term: LambdaTerm) -> LambdaTerm:
         """Endorsed meanings re-read through the constant mergers repair has
         performed (plural constants folded onto their stems)."""
-        if not self.merged_constants:
-            return term
-        if isinstance(term, Var):
-            target = self.merged_constants.get(term.name)
-            return Var(target) if target is not None else term
-        if isinstance(term, App):
-            return App(self.map_meaning(term.fun), self.map_meaning(term.arg))
-        if isinstance(term, Abs):
-            return Abs(term.binder, self.map_meaning(term.body))
+        for name, target in self.merged_constants.items():
+            term = substitute(term, name, Var(target))
         return term
 
     def grammar(self) -> CompiledGrammar:
@@ -305,18 +303,6 @@ def _apply_gate(state: LearnerState, staged: LearnerState, alignment,
     vars(state).update(vars(staged))
     state.revisions.append(note)
     return True
-
-
-def factor(state: LearnerState, alignment: Alignment) -> LearnerState:
-    """Split lexicon entries along an alignment; raises FactoringRegression
-    when the revision would break an endorsed pair."""
-    staged = state.clone()
-    applied = _stage_factor(staged, alignment)
-    if not applied:
-        raise FactoringRegression("alignment is not factorable")
-    if not _apply_gate(state, staged, alignment, applied):
-        raise FactoringRegression("revision breaks an endorsed pair")
-    return state
 
 
 def _stage_factor(state: LearnerState, al: Alignment):
@@ -566,13 +552,10 @@ def _candidate_alignments(state: LearnerState, ump: UMP):
     endorsed pairs, best (largest shared span) first; entries outrank
     endorsed pairs at equal score."""
     found = []
-    features = _as_pseudo_sign(ump).stype.features
     for rank, entry in enumerate(state.lexicon.entries):
         al = align(ump, entry)
         if al is None:
             continue
-        if entry.stype.features != features:
-            al.kind = "window"
         found.append((al.score, 0, rank, al))
     for rank, old in enumerate(state.endorsed):
         if old.exponent == ump.exponent:
@@ -580,7 +563,6 @@ def _candidate_alignments(state: LearnerState, ump: UMP):
         al = align(ump, old)
         if al is None:
             continue
-        al.kind = "analogy"
         found.append((al.score, 1, rank, al))
     found.sort(key=lambda item: (-item[0], item[1], item[2]))
     return [al for *_rest, al in found]

@@ -1,5 +1,7 @@
-"""Scripted teacher: holds the gold grammar, judges learner productions and
-drives whole teaching sessions from script files.
+"""Scripted teacher: holds the gold grammar, judges learner productions,
+feeds each verdict back to the learner (`reinforce`, the one teaching step
+that sessions and the REPL share) and drives whole teaching sessions from
+script files.
 
 A script is line-oriented: `teach <TAB> utterance <TAB> term` presents a
 pair, `probe <TAB> term` asks the learner to express a meaning for feedback,
@@ -61,6 +63,23 @@ def judge(gold: GoldGrammar, utterance: str, meaning: LambdaTerm) -> Verdict:
     if path is not None:
         return Verdict.ENDORSE
     return Verdict.REJECT_MEANING if parsed else Verdict.REJECT_UNGRAMMATICAL
+
+
+def reinforce(learner: LearnerState, utterance: str, meaning: LambdaTerm,
+              endorsed: bool) -> bool:
+    """Feed a verdict on what the learner said back to it, the meaning
+    β-normalized first: an endorsed pair becomes evidence, a punished one
+    triggers repair.  False when no repair applies; the learner logs that
+    among its revisions."""
+    meaning = beta_reduce(meaning)
+    if endorsed:
+        learner.endorsed.append(UMP(utterance, meaning))
+        return True
+    try:
+        repair(learner, (utterance, meaning))
+    except NoRepairFound:
+        return False
+    return True
 
 
 # --- session scripts --------------------------------------------------------------
@@ -171,7 +190,7 @@ def validate_script(gold: GoldGrammar, script: list[ScriptLine]):
 def run_session(gold: GoldGrammar,
                 script: list[ScriptLine] | str) -> tuple[SessionLog, LearnerState]:
     """Execute the script on a fresh learner: teach feeds the learner, probe
-    makes it speak and routes the verdict back (reject triggers repair)."""
+    makes it speak and reinforces it with the verdict."""
     if isinstance(script, str):
         script = parse_script(script)
     learner = LearnerState()
@@ -195,13 +214,8 @@ def run_session(gold: GoldGrammar,
             verdict = judge(gold, said.utterance, line.meaning)
             log.add("verdict", verdict)
             last_verdict = verdict
-            if verdict is Verdict.ENDORSE:
-                learner.endorsed.append(UMP(said.utterance, line.meaning))
-            else:
-                try:
-                    repair(learner, (said.utterance, line.meaning))
-                except NoRepairFound:
-                    pass
+            reinforce(learner, said.utterance, line.meaning,
+                      verdict is Verdict.ENDORSE)
             log.add("snapshot", learner.time, learner.lexicon)
         elif line.op == "expect":
             if last_verdict is None:

@@ -99,8 +99,9 @@ class QueueItem:
     def __eq__(self, other):
         if type(other) is not QueueItem:
             return NotImplemented
-        return self.indices == other.indices and (  # interned categories
-            self.category is other.category or self.category == other.category)
+        # categories are interned per grammar
+        return (self.indices == other.indices
+                and self.category is other.category)
 
     def __hash__(self):
         return self._hash
@@ -450,25 +451,18 @@ def _semantic_rows(path: list[Step], deltas: list[tuple]) -> list[Step]:
     if ordered != queue:
         rows.append(Step("sort", None, (), tuple(queue)))
     queue = ordered
-
-    def find(item: SemItem) -> int:
-        at = _below(queue, item.index) - 1
-        while queue[at] is not item:
-            at -= 1
-        return at
-
     for kind, *items in deltas:
         if kind == "push":
             continue
         rows.append(Step("apply", None, (), tuple(queue)))
         if kind == "combine":
             f, a, combined = items
-            del queue[find(f)]
-            del queue[find(a)]
+            del queue[queue.index(f)]
+            del queue[queue.index(a)]
             queue.insert(_below(queue, combined.index), combined)
         else:
             old, contracted = items
-            queue[find(old)] = contracted
+            queue[queue.index(old)] = contracted
     rows.append(Step("understand", None, (), tuple(queue)))
     return rows
 

@@ -152,6 +152,23 @@ def test_default_budget_derive_ends(tmp_path):
         "# note: derivation budget exhausted, results may be partial")
 
 
+OMEGA = "w\t::\t=b c\t\\x.x(x)\nv\t::\tb\t\\y.y(y)\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["produce", "--meaning", "\\z.z(z)"], ["derive"]], ids=["produce", "derive"])
+def test_closure_stops_on_a_meaning_without_normal_form(command, tmp_path):
+    # merging w with v gives (λx.x(x))(λy.y(y)), which reduces to itself:
+    # the closure stops after as many β-steps as beta_reduce takes
+    path = tmp_path / "omega.mg"
+    path.write_text(OMEGA, encoding="utf-8")
+    done = mgumt_in_subprocess(command[0], "--lexicon", str(path),
+                               *command[1:], timeout=30)
+    assert done.returncode == 1, done.stderr
+    err = done.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 def test_derive_budget_note_without_trees(gold_path, capsys):
     # a search that found nothing and ran out of budget says so
     assert main(["derive", "--lexicon", gold_path, "--budget", "5"]) == 1
@@ -318,6 +335,36 @@ def test_repl_session(teach_paths, monkeypatch, capsys, tmp_path):
     assert "the rat eats cheese" in out
     assert "teacher: endorse" in out
     assert len(load_lexicon(lexfile.read_text(encoding="utf-8"))) == 4
+
+
+def test_repl_endorsement_is_normalized(monkeypatch, tmp_path):
+    # a meaning endorsed with "yes" is evidence in normal form, so a
+    # β-redex teaches what its normal form teaches
+    def course(meaning):
+        saved = tmp_path / "learned.mg"
+        lines = iter(["teach the mouse eats cheese | eat(cheese)(mouse)",
+                      f"ask {meaning}", "yes",
+                      "teach the rat eats cheese | eat(cheese)(rat)",
+                      f"save {saved}", "quit"])
+        monkeypatch.setattr("builtins.input", lambda *_: next(lines))
+        assert main(["repl"]) == 0
+        return saved.read_text(encoding="utf-8")
+
+    normal = course("eat(cheese)(mouse)")
+    assert len(load_lexicon(normal)) == 4
+    assert course("(\\x.eat(cheese)(x))(mouse)") == normal
+
+
+@pytest.mark.parametrize("command", ["learn", "repl"])
+def test_invalid_gold_lexicon_exit_code(command, teach_paths, tmp_path):
+    path = tmp_path / "bad.mg"
+    path.write_text("x\t::\tn =d\tmouse\n", encoding="utf-8")
+    extra = ["--script", teach_paths[1]] if command == "learn" else []
+    done = mgumt_in_subprocess(command, "--gold", str(path), *extra, stdin="")
+    assert done.returncode == 2
+    err = done.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "Traceback" not in done.stderr
 
 
 def test_repl_survives_parser_budget(tmp_path):

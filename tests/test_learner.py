@@ -7,8 +7,8 @@ from iso import X1_TABLE, X21_TABLE, X3_TABLE, X41_TABLE, X4_TABLE, assert_isomo
 from mgumt.fixtures import SESSION_SCRIPT, TABLE_ONE, teaching_gold
 from mgumt.grammar import complete_derivations, load_lexicon, save_lexicon
 from mgumt.learner import (
-    FactoringRegression, LearnerState, NoRepairFound, _overgeneralization_waived,
-    align, express, factor, ingest, repair,
+    LearnerState, NoRepairFound, _overgeneralization_waived, _revise, align,
+    express, ingest, repair,
 )
 from mgumt.mcfg import compile_grammar
 from mgumt.teacher import GoldGrammar, run_session
@@ -96,7 +96,7 @@ def test_state_update_law_without_alignment():
     assert len(after) == len(before) + 1 and before < after
 
 
-# --- factor -----------------------------------------------------------------------
+# --- one revision -----------------------------------------------------------------
 
 def x2_state():
     """The intermediate three-entry lexicon, before the second-pass split."""
@@ -113,7 +113,7 @@ def x2_state():
 def test_factor_second_pass_segmentation():
     s = x2_state()
     al = align(s.lexicon.entries[0], s.lexicon.entries[1])
-    factor(s, al)
+    assert _revise(s, [al])
     assert_isomorphic(s.lexicon, X21_TABLE)
 
 
@@ -121,9 +121,10 @@ def test_factor_nothing_shared_is_rejected():
     s = x2_state()
     al = align(s.lexicon.entries[0], s.lexicon.entries[2])
     assert al is None or al.residue_exponents[0] == []
-    with pytest.raises(FactoringRegression):
-        factor(s, align(s.lexicon.entries[0], s.lexicon.entries[0]) or
-               _dummy_alignment(s))
+    before = save_lexicon(s.lexicon)
+    assert not _revise(s, [align(s.lexicon.entries[0], s.lexicon.entries[0])
+                           or _dummy_alignment(s)])
+    assert save_lexicon(s.lexicon) == before
 
 
 def _dummy_alignment(s):
@@ -299,8 +300,8 @@ def test_single_factoring_step_yields_intermediate_stage():
     s.lexicon = load_lexicon(X1_TABLE)
     s.endorsed = [U1]
     al = align(U2, s.lexicon.entries[0])
-    al.kind = "pair"
-    factor(s, al)
+    assert al.kind == "pair"
+    assert _revise(s, [al])
     assert_isomorphic(s.lexicon, (
         "the mouse\t:\td\tmouse\n"
         "the rat\t:\td\trat\n"

@@ -2,11 +2,13 @@ import pytest
 
 from mgumt.fixtures import SESSION_SCRIPT, TABLE_ONE, teaching_gold
 from mgumt.grammar import complete_derivations, load_lexicon, save_lexicon
+from mgumt.learner import LearnerState, ingest
 from mgumt.teacher import (
-    GoldGrammar, ScriptInvalid, Verdict, judge, parse_script, run_session,
+    GoldGrammar, ScriptInvalid, Verdict, judge, parse_script, reinforce,
+    run_session,
 )
 from mgumt.terms import alpha_equivalent, beta_reduce, parse_term
-from mgumt.transducer import all_meanings, produce
+from mgumt.transducer import UMP, all_meanings, produce
 
 p = parse_term
 
@@ -174,6 +176,17 @@ def test_session_replay_byte_identical(gold):
     snaps2 = [(t, save_lexicon(lex)) for t, lex in log2.snapshots()]
     assert snaps1 == snaps2
     assert log1.render() == log2.render()
+
+
+def test_reinforce_without_repair():
+    learner = LearnerState()
+    ingest(learner, UMP("the mouse eats cheese", p("eat(cheese)(mouse)")))
+    before = save_lexicon(learner.lexicon)
+    assert not reinforce(learner, "the mouse eats cheese",
+                         p("(\\x.sleep(x))(mouse)"), False)
+    assert learner.revisions[-1] == (
+        "no repair found for 'the mouse eats cheese'; logged")
+    assert save_lexicon(learner.lexicon) == before
 
 
 def test_gold_lexicon_type_pattern_enforced():
