@@ -31,7 +31,7 @@ from .transducer import (
 )
 
 FORMAT_ERRORS = (LexiconError, TermSyntaxError, ScriptInvalid, EmptyLexicon,
-                 GoldLexiconInvalid, FileNotFoundError, ValueError)
+                 GoldLexiconInvalid, OSError, ValueError)
 # the parser's step budget, a meaning that does not normalize, and the term
 # layer's recursion, which very deep embeddings still exhaust
 LIMIT_ERRORS = (RecursionError, NonTerminating, ParserBudget)

@@ -17,8 +17,8 @@ from collections import Counter
 from dataclasses import dataclass, field, replace as dc_replace
 
 from .terms import (
-    LambdaTerm, NonTerminating, alpha_canonical, apply, beta_step, constants,
-    is_normal, parse_term, render_term,
+    MAX_REDUCTIONS, LambdaTerm, NonTerminating, alpha_canonical, apply,
+    beta_step, constants, is_normal, parse_term, render_term,
 )
 
 BASE, SEL, POS, NEG = "base", "sel", "pos", "neg"
@@ -383,8 +383,8 @@ def replay(tree: DerivationTree) -> Expression:
 def _normalized(tree: DerivationTree) -> DerivationTree:
     """Wrap explicit λ-app nodes until the head semantics is normal, each
     built from the β-step that found its redex; as in `beta_reduce`, a head
-    not normal within 10,000 steps raises NonTerminating."""
-    for _ in range(10_000):
+    not normal within `MAX_REDUCTIONS` steps raises NonTerminating."""
+    for _ in range(MAX_REDUCTIONS):
         stepped = beta_step(tree.expression.head.semantics)
         if stepped is None:
             return tree
@@ -392,7 +392,7 @@ def _normalized(tree: DerivationTree) -> DerivationTree:
         expr = Expression((dc_replace(signs[0], semantics=stepped),) + signs[1:])
         tree = DerivationTree("λ-app", expr, (tree,), tree.size + 1,
                               tree.structural_size)
-    raise NonTerminating("no normal form within 10000 steps")
+    raise NonTerminating(f"no normal form within {MAX_REDUCTIONS} steps")
 
 
 @dataclass

@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
+from difflib import SequenceMatcher
+from os.path import commonprefix
 
 # complete_derivations stays importable here: perfbench/spans.py traces it
 # by this name
@@ -83,25 +85,9 @@ def _sem(x) -> LambdaTerm:
 
 
 def common_blocks(a: list[str], b: list[str]):
-    """Ordered maximal common token blocks, longest first recursion with
-    leftmost tie-break (the usual diff decomposition)."""
-    if not a or not b:
-        return []
-    best_len, best = 0, None
-    for i in range(len(a)):
-        for j in range(len(b)):
-            k = 0
-            while i + k < len(a) and j + k < len(b) and a[i + k] == b[j + k]:
-                k += 1
-            if k > best_len:
-                best_len, best = k, (i, j)
-    if not best_len:
-        return []
-    i, j = best
-    left = common_blocks(a[:i], b[:j])
-    right = [(i + best_len + di, j + best_len + dj, n)
-             for di, dj, n in common_blocks(a[i + best_len:], b[j + best_len:])]
-    return left + [(i, j, best_len)] + right
+    """Ordered maximal common token blocks, longest first with leftmost
+    tie-break (Ratcliff and Obershelp's decomposition, as in difflib)."""
+    return SequenceMatcher(None, a, b, autojunk=False).get_matching_blocks()[:-1]
 
 
 def _gaps(a, b, blocks):
@@ -117,9 +103,11 @@ def _gaps(a, b, blocks):
 
 
 def semantic_diff(a: LambdaTerm, b: LambdaTerm):
-    """The single position where the two terms differ, or None when they
-    differ in more than one place.  A root difference means the terms share
-    no structure (the vacuous-content case)."""
+    """The smallest subterms, one of each term, that hold every difference
+    between the two (differences in both parts of an application fold into
+    the application), or None when the terms are α-equal.  A root
+    difference means the terms share no structure (the vacuous-content
+    case)."""
     diffs = []
 
     def walk(x, y):
@@ -140,26 +128,17 @@ def semantic_diff(a: LambdaTerm, b: LambdaTerm):
         diffs.append((x, y))
 
     walk(a, b)
-    if len(diffs) != 1:
-        return None
-    return diffs[0]
-
-
-def char_prefix(a: str, b: str) -> int:
-    n = 0
-    while n < len(a) and n < len(b) and a[n] == b[n]:
-        n += 1
-    return n
+    return diffs[0] if diffs else None
 
 
 def align(a, b):
     """Token-span matcher for two pairs or entries: their common token
     blocks, the one span where both have tokens of their own (each side's
-    residue), and the single position where their meanings differ (None
-    when they differ in more than one).  None when the two share no block or
-    differ in more than one span.  The kind says how to stage it: analogy
-    against an endorsed pair, window against an entry whose features differ
-    from the source's, pair otherwise."""
+    residue), and the smallest subterms holding every difference of their
+    meanings (`semantic_diff`; None when the meanings are α-equal).  None
+    when the two share no block or differ in more than one span.  The kind
+    says how to stage it: analogy against an endorsed pair, window against
+    an entry whose features differ from the source's, pair otherwise."""
     ta, tb = a.exponent.split(), b.exponent.split()
     blocks = common_blocks(ta, tb)
     if not blocks:
@@ -200,10 +179,8 @@ class LearnerState:
     revisions: list[str] = field(default_factory=list)
     blacklist: set = field(default_factory=set)
     # the grammar `grammar()` compiled last, reused while `lexicon` is that
-    # object, and the queries `says` answered False on it; a refusal holds
-    # for its grammar, so clones share both
+    # object; clones share it
     compiled: CompiledGrammar | None = field(default=None, repr=False, compare=False)
-    refused: set = field(default_factory=set, repr=False, compare=False)
     # (utterance, α-canonical meaning) -> the keys of the entries that a
     # parse with that meaning scanned; true of any lexicon, so clones share it
     witnesses: dict = field(default_factory=dict, repr=False, compare=False)
@@ -211,7 +188,7 @@ class LearnerState:
     def clone(self) -> "LearnerState":
         """A copy to stage a revision on: the containers a revision can
         change are copied (no paradigm record is changed in place), the
-        lexicon, its grammar, refusals and witnesses are shared."""
+        lexicon, its grammar and the witnesses are shared."""
         return replace(self, endorsed=list(self.endorsed),
                        merged_constants=dict(self.merged_constants),
                        paradigms=list(self.paradigms),
@@ -245,7 +222,6 @@ class LearnerState:
         """The lexicon compiled to an MCFG, once per lexicon object."""
         if self.compiled is None or self.compiled.lexicon is not self.lexicon:
             self.compiled = compile_grammar(self.lexicon)
-            self.refused = set()
         return self.compiled
 
     def says(self, utterance: str, meaning: LambdaTerm) -> bool:
@@ -258,8 +234,8 @@ class LearnerState:
         monotone in the entries, and the search is exhaustive; so while the
         lexicon keeps every witness entry the answer is True, with no
         parse.  (A full search might run out of steps where a witness
-        answers.)  A False answer holds only for the grammar it was
-        computed on."""
+        answers.)  A False answer is not kept: callers ask again only
+        after the lexicon has changed."""
         if not len(self.lexicon):
             return False
         query = (utterance, alpha_canonical(meaning))
@@ -267,12 +243,8 @@ class LearnerState:
         witness = self.witnesses.get(query)
         if witness is not None and all(k in keys for k in witness):
             return True
-        grammar = self.grammar()
-        if query in self.refused:
-            return False
-        path, _parsed = match_meaning(grammar, utterance, meaning)
+        path, _parsed = match_meaning(self.grammar(), utterance, meaning)
         if path is None:
-            self.refused.add(query)
             return False
         key_of = {id(entry): k for k, entry in keys.items()}
         self.witnesses[query] = {key_of[id(st.rule.entry)]
@@ -498,7 +470,7 @@ def _stage_analogy(state: LearnerState, al: Alignment):
             return None
         entry = matches[0]
         carrier = alpha_equivalent(entry.semantics, sem_old)
-        if not carrier and char_prefix(w_new, w_old) < MIN_STEM_CHARS:
+        if not carrier and len(commonprefix([w_new, w_old])) < MIN_STEM_CHARS:
             return None
         new_sem = sem_new if carrier else entry.semantics
         additions.append(Sign(w_new, entry.stype, new_sem))
@@ -576,11 +548,14 @@ def ingest(state: LearnerState, ump: UMP) -> LearnerState:
     if state.derivable(ump):
         state.endorsed.append(ump)
         return state
-    progress, rounds = True, 0
-    while not state.derivable(ump) and progress and rounds < 25:
+    # a revision that is not committed leaves the answer as it was, so ask
+    # again only after one is
+    derives, rounds = False, 0
+    while not derives and rounds < 25 \
+            and _revise(state, _candidate_alignments(state, ump)):
         rounds += 1
-        progress = _revise(state, _candidate_alignments(state, ump))
-    if not state.derivable(ump):
+        derives = state.derivable(ump)
+    if not derives:
         state.lexicon = state.lexicon.with_entry(_as_pseudo_sign(ump))
         state.revisions.append(f"stored whole pair {ump!r}")
     state.endorsed.append(ump)
@@ -590,19 +565,15 @@ def ingest(state: LearnerState, ump: UMP) -> LearnerState:
 
 def _revise(state: LearnerState, alignments) -> bool:
     """Stage the alignments in order, skipping blacklisted ones, and commit
-    the first revision that passes the gate; a revision that leaves the
-    lexicon as it was is blacklisted."""
-    before = state.lexicon._keys.keys()
+    the first revision that passes the gate; one that fails it is
+    blacklisted.  Every stager that returns a note has added an entry the
+    lexicon lacked."""
     for al in alignments:
         if al.key() in state.blacklist:
             continue
         staged = state.clone()
         note = _stage_factor(staged, al)
-        if note is None:
-            continue
-        if staged.lexicon._keys.keys() == before:
-            state.blacklist.add(al.key())
-        elif _apply_gate(state, staged, al, note):
+        if note is not None and _apply_gate(state, staged, al, note):
             return True
     return False
 
@@ -670,17 +641,20 @@ def _paradigm_pairs(state):
     return pairs
 
 
+def _licensed(stem: Sign, base: str, licensee: str) -> Sign:
+    """The stem retyped as `base -licensee`, to await number licensing."""
+    return Sign(stem.exponent,
+                SyntacticType(True, (Feature(BASE, base), Feature(NEG, licensee))),
+                stem.semantics)
+
+
 def _stage_morpheme_split(state: LearnerState, stem: Sign, plural: Sign):
     suffix = plural.exponent[len(stem.exponent):]
     b = stem.stype.features[0].ident
     licensee = state.fresh_type("a")
     layer = state.fresh_type("t")
     lex = state.lexicon.without([plural])
-    # the stem now awaits number licensing
-    new_stem = Sign(stem.exponent,
-                    SyntacticType(True, (Feature(BASE, b), Feature(NEG, licensee))),
-                    stem.semantics)
-    lex = lex.without([stem]).with_entry(new_stem)
+    lex = lex.without([stem]).with_entry(_licensed(stem, b, licensee))
     if isinstance(plural.semantics, Var) and isinstance(stem.semantics, Var):
         state.merged_constants[plural.semantics.name] = stem.semantics.name
     layer_feats = (Feature(SEL, b), Feature(POS, licensee), Feature(BASE, layer))
@@ -704,9 +678,7 @@ def _stage_morpheme_split(state: LearnerState, stem: Sign, plural: Sign):
     for e in list(lex.entries):
         if (e.exponent in sites and e.exponent not in paradigm_words
                 and e.stype.features == (Feature(BASE, b),)):
-            feats = (Feature(BASE, b), Feature(NEG, licensee))
-            lex = lex.without([e]).with_entry(
-                Sign(e.exponent, SyntacticType(True, feats), e.semantics))
+            lex = lex.without([e]).with_entry(_licensed(e, b, licensee))
     state.lexicon = lex
     state.paradigms.append(ParadigmRecord(b, licensee, layer, ["-" + suffix]))
     return (f"morpheme split {stem.exponent!r}/{plural.exponent!r}: "
@@ -733,9 +705,8 @@ def _stage_block_cell(state: LearnerState, stem: Sign, record: ParadigmRecord):
     """Retire the regular affix for one stem: the stem moves to a private
     licensee realized only by the silent number entry."""
     licensee = state.fresh_type("a")
-    feats = (Feature(BASE, record.stem_base), Feature(NEG, licensee))
     lex = state.lexicon.without([stem]).with_entry(
-        Sign(stem.exponent, SyntacticType(True, feats), stem.semantics))
+        _licensed(stem, record.stem_base, licensee))
     layer_feats = (Feature(SEL, record.stem_base), Feature(POS, licensee),
                    Feature(BASE, record.result_base))
     lex = lex.with_entry(Sign("", SyntacticType(True, layer_feats), EMPTY))

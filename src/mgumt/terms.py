@@ -12,6 +12,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
+MAX_REDUCTIONS = 10_000     # β-steps allowed on the way to a normal form
+
 
 class NonTerminating(Exception):
     """Raised when reduction exhausts its step budget."""
@@ -233,7 +235,7 @@ def is_normal(t: LambdaTerm) -> bool:
     return beta_step(t) is None
 
 
-def beta_reduce(t: LambdaTerm, max_steps: int = 10_000) -> LambdaTerm:
+def beta_reduce(t: LambdaTerm, max_steps: int = MAX_REDUCTIONS) -> LambdaTerm:
     """Normalize by repeated leftmost-outermost steps.
 
     A term that grows deeper than the stack allows within the step budget

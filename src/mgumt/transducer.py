@@ -51,11 +51,11 @@ from .mcfg import (
     assign_child_indices,
 )
 from .terms import (
-    EMPTY, LambdaTerm, App, NonTerminating, alpha_canonical, beta_reduce,
-    beta_step, constants, render_term,
+    EMPTY, MAX_REDUCTIONS, LambdaTerm, App, NonTerminating, alpha_canonical,
+    beta_reduce, beta_step, constants, render_term,
 )
 
-# steps the parser may take, and reductions the semantic queue may make
+# steps the parser may take
 MAX_STEPS = 10_000
 
 
@@ -374,7 +374,7 @@ def _compose(path: list[Step]) -> tuple[LambdaTerm, list[tuple]]:
     # each prediction's semantic item per component (None where empty), keyed
     # by id(): cheaper than hashing a QueueItem, and the path keeps them
     held: dict[int, tuple[SemItem | None, ...]] = {}
-    budget = MAX_STEPS
+    budget = MAX_REDUCTIONS
 
     def settle(item: SemItem) -> SemItem:
         nonlocal budget

@@ -234,6 +234,23 @@ def test_malformed_lexicon_exit_code(tmp_path, capsys):
     assert main(["compile", "--lexicon", str(bad)]) == 2
 
 
+def test_directory_as_lexicon_exit_code(tmp_path, capsys):
+    # a path the OS cannot read as a file is a usage error, not a crash
+    assert main(["compile", "--lexicon", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_repl_survives_saving_to_a_directory(monkeypatch, capsys, tmp_path):
+    lines = iter([f"save {tmp_path}",
+                  "teach the mouse eats cheese | eat(cheese)(mouse)", "quit"])
+    monkeypatch.setattr("builtins.input", lambda *_: next(lines))
+    assert main(["repl"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1].startswith("error: ")
+    assert out[2:] == ["ok, lexicon has 1 entries"]
+
+
 EMBEDDING = TABLE_ONE + "that\t::\t=c n -k\t\\p.that(p)\nrat\t::\tn\trat\n"
 HOMOPHONES = (TABLE_ONE + "old\t::\t=n n\t\\x.old(x)\n"
               + "old\t::\t=n n\t\\x.aged(x)\n")

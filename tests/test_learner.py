@@ -2,13 +2,14 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from iso import X1_TABLE, X21_TABLE, X3_TABLE, X41_TABLE, X4_TABLE, assert_isomorphic
 
 from mgumt.fixtures import SESSION_SCRIPT, TABLE_ONE, teaching_gold
 from mgumt.grammar import complete_derivations, load_lexicon, save_lexicon
 from mgumt.learner import (
     LearnerState, NoRepairFound, _overgeneralization_waived, _revise, align,
-    express, ingest, repair,
+    common_blocks, express, ingest, repair, semantic_diff,
 )
 from mgumt.mcfg import compile_grammar
 from mgumt.teacher import GoldGrammar, run_session
@@ -53,6 +54,46 @@ def test_align_against_entry():
 
 def test_align_none_without_common_material():
     assert align(U1, UMP("birds fly", p("fly(birds)"))) is None
+
+
+def _recursive_blocks(a, b):
+    """The oracle: the leftmost longest common block, then the same
+    decomposition of what lies before it and of what lies after it."""
+    best_len, best = 0, None
+    for i in range(len(a)):
+        for j in range(len(b)):
+            k = 0
+            while i + k < len(a) and j + k < len(b) and a[i + k] == b[j + k]:
+                k += 1
+            if k > best_len:
+                best_len, best = k, (i, j)
+    if not best_len:
+        return []
+    i, j = best
+    right = [(i + best_len + di, j + best_len + dj, n) for di, dj, n
+             in _recursive_blocks(a[i + best_len:], b[j + best_len:])]
+    return _recursive_blocks(a[:i], b[:j]) + [(i, j, best_len)] + right
+
+
+TOKEN_LISTS = st.lists(st.sampled_from("abc"), max_size=12)
+
+
+@settings(max_examples=500, deadline=None)
+@given(TOKEN_LISTS, TOKEN_LISTS)
+def test_property_common_blocks_recursive_decomposition(a, b):
+    assert [tuple(blk) for blk in common_blocks(a, b)] == _recursive_blocks(a, b)
+
+
+def test_semantic_diff_folds_differences():
+    # None only for α-equal terms; differences in both parts of an
+    # application fold into the application
+    assert semantic_diff(p("\\x.eat(cheese)(x)"), p("\\y.eat(cheese)(y)")) is None
+    pairs = [("\\x.eat(cheese)(x)", "\\y.eat(carrot)(y)", "cheese", "carrot"),
+             ("eat(cheese)(mouse)", "eat(carrot)(rat)",
+              "eat(cheese)(mouse)", "eat(carrot)(rat)")]
+    for a, b, *want in pairs:
+        got = semantic_diff(p(a), p(b))
+        assert list(map(render_term, got)) == want
 
 
 # --- ingest -----------------------------------------------------------------------
@@ -369,10 +410,11 @@ def test_fixture_session_compiles_each_lexicon_once(monkeypatch):
 
 
 def test_fixture_session_parses_only_what_a_revision_can_break(monkeypatch):
-    # 43 derivable calls and one repair check make 22 parses from `says`
-    # (a witness answers 14 queries, a refusal kept for the same grammar 4,
-    # and the empty lexicon 4), and the slot analogy's two lookups 2 more;
-    # repair checks each committed revision's endorsed pairs once
+    # 32 derivable calls and one repair check make 22 parses from `says`
+    # (a witness answers 10 queries and the empty lexicon 1), and the slot
+    # analogy's two lookups 2 more; `ingest` asks again only after a
+    # committed revision, and repair checks each committed revision's
+    # endorsed pairs once
     parses, calls = [], []
     real_parse, real_derivable = match_meaning, LearnerState.derivable
 
@@ -387,7 +429,7 @@ def test_fixture_session_parses_only_what_a_revision_can_break(monkeypatch):
     monkeypatch.setattr("mgumt.learner.match_meaning", parse)
     monkeypatch.setattr(LearnerState, "derivable", derivable)
     run_session(GoldGrammar(teaching_gold()), SESSION_SCRIPT)
-    assert (len(calls), len(parses)) == (43, 24)
+    assert (len(calls), len(parses)) == (32, 24)
 
 
 def test_parser_budget_is_not_underivable():

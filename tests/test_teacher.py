@@ -169,6 +169,21 @@ def test_expectation_failure(gold):
         run_session(gold, script)
 
 
+def test_unrealizable_probe(gold):
+    # a meaning the learner cannot express is logged with no verdict, so an
+    # expectation after it has nothing to check
+    script = ("teach\tthe mouse eats cheese\teat(cheese)(mouse)\n"
+              "probe\teat(carrot)(rat)\n")
+    log, _ = run_session(gold, script)
+    assert [e.kind for e in log.events] == ["presented", "snapshot",
+                                            "unrealizable"]
+    assert log.verdicts() == []
+    with pytest.raises(ScriptInvalid):
+        run_session(gold, script + "expect\tendorse\n")
+    replay, _ = run_session(gold, log.to_script())
+    assert replay.render() == log.render()
+
+
 def test_session_replay_byte_identical(gold):
     log1, _ = run_session(gold, SESSION_SCRIPT)
     log2, _ = run_session(gold, log1.to_script())
