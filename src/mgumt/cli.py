@@ -21,8 +21,8 @@ from .grammar import (
 from .learner import LearnerState, express, ingest
 from .mcfg import EmptyLexicon, compile_grammar, rule_dump
 from .teacher import (
-    GoldGrammar, GoldLexiconInvalid, ScriptInvalid, judge, parse_script,
-    reinforce, run_session,
+    GoldGrammar, GoldLexiconInvalid, ScriptInvalid, judge, reinforce,
+    run_session,
 )
 from .terms import NonTerminating, TermSyntaxError, parse_term, render_term
 from .transducer import (
@@ -119,7 +119,7 @@ def cmd_derive(args) -> int:
 
 def cmd_learn(args) -> int:
     gold = GoldGrammar(_lexicon(args.gold))
-    script = parse_script(Path(args.script).read_text(encoding="utf-8"))
+    script = Path(args.script).read_text(encoding="utf-8")
     log, learner = run_session(gold, script)
     sys.stdout.write(log.render())
     if args.out:
@@ -181,7 +181,8 @@ def cmd_repl(args) -> int:
                     print("lexicon repaired")
                 pending = None
             elif op == "lexicon":
-                sys.stdout.write(save_lexicon(learner.lexicon) or "(empty)\n")
+                sys.stdout.write(save_lexicon(learner.lexicon)
+                                 if len(learner.lexicon) else "(empty)\n")
             elif op == "save":
                 Path(rest.strip()).write_text(save_lexicon(learner.lexicon),
                                               encoding="utf-8")

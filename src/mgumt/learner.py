@@ -161,10 +161,10 @@ def align(a, b):
 
 @dataclass
 class ParadigmRecord:
-    stem_base: str          # noun-class base the suffixes select
+    stem_base: str          # noun-class base the suffix selects
     licensee: str           # movement feature of the regular cells
     result_base: str        # the number layer's base type
-    suffixes: list[str]     # overt suffix exponents, e.g. ["-s"]
+    suffix: str             # overt suffix exponent, e.g. "-s"
 
 
 @dataclass
@@ -201,10 +201,8 @@ class LearnerState:
         self.fresh_type_counter += 1
         return f"{prefix}{self.fresh_type_counter}"
 
-    def fresh_var(self, *terms) -> VariableName:
-        taken = set()
-        for t in terms:
-            taken |= all_names(t)
+    def fresh_var(self, term: LambdaTerm) -> VariableName:
+        taken = all_names(term)
         while True:
             self.fresh_var_counter += 1
             cand = VariableName(f"w{self.fresh_var_counter}")
@@ -278,10 +276,14 @@ def _apply_gate(state: LearnerState, staged: LearnerState, alignment,
 
 
 def _stage_factor(state: LearnerState, al: Alignment):
-    if al.kind == "pair":
-        return _stage_pair(state, al)
+    """Stage the alignment by its kind.  All kinds but a window need
+    meanings that differ; a window finds its own hole in the entry."""
     if al.kind == "window":
         return _stage_window(state, al)
+    if al.semantic_residues is None:
+        return None
+    if al.kind == "pair":
+        return _stage_pair(state, al)
     return _stage_analogy(state, al) or _stage_slot(state, al)
 
 
@@ -303,10 +305,7 @@ def _contiguous_split(tokens, template_span):
 
 
 def _stage_pair(state: LearnerState, al: Alignment):
-    a = _as_pseudo_sign(al.source)
-    b = _as_pseudo_sign(al.target)
-    if a.stype.features != b.stype.features or al.semantic_residues is None:
-        return None
+    a, b = _as_pseudo_sign(al.source), al.target
     sem_a, sem_b = al.semantic_residues
     vacuous = alpha_equivalent(sem_a, a.semantics)   # nothing shared in form
     ta, tb = a.exponent.split(), b.exponent.split()
@@ -390,8 +389,6 @@ def _stage_window(state: LearnerState, al: Alignment):
         return None
     pos, residue_e = entry_gaps[0]
     residue_u = gaps[pos][0]
-    if not residue_u:
-        return None
     # remaining ump-side gaps may only sit at the outer edges
     for i, (gu, ge) in enumerate(gaps):
         if i != pos and gu and 0 < i < len(gaps) - 1:
@@ -448,27 +445,21 @@ def _entry_residue_candidates(body, meaning, binders):
     return out
 
 
-def _single_token_entries(lex: Lexicon, token: str):
-    return [e for e in lex.entries if e.exponent == token]
-
-
 def _stage_analogy(state: LearnerState, al: Alignment):
     ump: UMP = al.source
     old: UMP = al.target
     ra, rb = al.residue_exponents
-    if len(ra) != len(rb) or not ra:
-        return None
-    if al.semantic_residues is None:
+    if len(ra) != len(rb):
         return None
     sem_new, sem_old = al.semantic_residues
     additions = []
     for w_new, w_old in zip(ra, rb):
         if w_new == w_old:
             continue
-        matches = _single_token_entries(state.lexicon, w_old)
-        if not matches:
+        entry = next((e for e in state.lexicon.entries
+                      if e.exponent == w_old), None)
+        if entry is None:
             return None
-        entry = matches[0]
         carrier = alpha_equivalent(entry.semantics, sem_old)
         if not carrier and len(commonprefix([w_new, w_old])) < MIN_STEM_CHARS:
             return None
@@ -491,8 +482,6 @@ def _stage_slot(state: LearnerState, al: Alignment):
     ump: UMP = al.source
     old: UMP = al.target
     ra, rb = al.residue_exponents
-    if al.semantic_residues is None:
-        return None
     sem_new, _ = al.semantic_residues
     want = " ".join(rb)
     # the old pair's derivation, read off its parse
@@ -521,23 +510,13 @@ def _stage_slot(state: LearnerState, al: Alignment):
 
 def _candidate_alignments(state: LearnerState, ump: UMP):
     """All usable alignments of the new pair against lexicon entries and
-    endorsed pairs, best (largest shared span) first; entries outrank
-    endorsed pairs at equal score."""
-    found = []
-    for rank, entry in enumerate(state.lexicon.entries):
-        al = align(ump, entry)
-        if al is None:
-            continue
-        found.append((al.score, 0, rank, al))
-    for rank, old in enumerate(state.endorsed):
-        if old.exponent == ump.exponent:
-            continue
-        al = align(ump, old)
-        if al is None:
-            continue
-        found.append((al.score, 1, rank, al))
-    found.sort(key=lambda item: (-item[0], item[1], item[2]))
-    return [al for *_rest, al in found]
+    endorsed pairs, best (largest shared span) first; the sort is stable,
+    so at equal score entries come before endorsed pairs and each keeps
+    its order."""
+    found = [align(ump, entry) for entry in state.lexicon.entries]
+    found += [align(ump, old) for old in state.endorsed
+              if old.exponent != ump.exponent]
+    return sorted(filter(None, found), key=lambda al: -al.score)
 
 
 def ingest(state: LearnerState, ump: UMP) -> LearnerState:
@@ -582,15 +561,11 @@ def _generalize(state: LearnerState):
     """Factoring among entries of one type until no pair of them aligns (the
     second-pass segmentation); character stems are left to repair."""
     for _round in range(25):
-        entries = state.lexicon.entries
-        candidates = []
-        for i, j in itertools.combinations(range(len(entries)), 2):
-            if entries[i].stype == entries[j].stype:
-                al = align(entries[i], entries[j])
-                if al is not None:
-                    candidates.append((al.score, i, j, al))
-        candidates.sort(key=lambda item: (-item[0], item[1], item[2]))
-        if not _revise(state, [al for *_r, al in candidates]):
+        found = [align(a, b) for a, b
+                 in itertools.combinations(state.lexicon.entries, 2)
+                 if a.stype == b.stype]
+        if not _revise(state, sorted(filter(None, found),
+                                     key=lambda al: -al.score)):
             return
 
 
@@ -680,7 +655,7 @@ def _stage_morpheme_split(state: LearnerState, stem: Sign, plural: Sign):
                 and e.stype.features == (Feature(BASE, b),)):
             lex = lex.without([e]).with_entry(_licensed(e, b, licensee))
     state.lexicon = lex
-    state.paradigms.append(ParadigmRecord(b, licensee, layer, ["-" + suffix]))
+    state.paradigms.append(ParadigmRecord(b, licensee, layer, "-" + suffix))
     return (f"morpheme split {stem.exponent!r}/{plural.exponent!r}: "
             f"suffix -{suffix}, layer {layer}, licensee {licensee}, "
             f"rerouted {rerouted}")
@@ -694,10 +669,9 @@ def _unseen_cells(state, record: ParadigmRecord):
         feats = e.stype.features
         if (len(feats) == 2 and feats[0] == Feature(BASE, record.stem_base)
                 and feats[1].kind == NEG and feats[1].ident == record.licensee):
-            for suf in record.suffixes:
-                form = e.exponent + suf[1:]
-                if not _attested_token(state, form):
-                    out.append((e, form))
+            form = e.exponent + record.suffix[1:]
+            if not _attested_token(state, form):
+                out.append((e, form))
     return out
 
 

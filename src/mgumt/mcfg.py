@@ -25,11 +25,12 @@ its moves in grammar order, and per rule its scan tokens or child plans.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import groupby, product
 
 from .grammar import (
     BASE, NEG, POS, START, Expression, Feature, FeatureMismatch, Lexicon,
-    Sign, SyntacticType, fuse_tokens, merge, move, pairs_by_lead,
+    Sign, SyntacticType, concat_exponents, merge, move, pairs_by_lead,
     render_features,
 )
 from .terms import EMPTY
@@ -342,13 +343,10 @@ def enumerate_strings(grammar: CompiledGrammar, max_steps: int) -> set[str]:
                 if steps > max_steps:
                     continue
                 strings = [parts for parts, _ in combo]
-                built = []
-                for comp in rule.pattern:
-                    pieces = []
-                    for r, c in comp:
-                        pieces.append(strings[r][c])
-                    built.append(_join(pieces))
-                item = (tuple(built), steps)
+                built = tuple(reduce(concat_exponents,
+                                     (strings[r][c] for r, c in comp), "")
+                              for comp in rule.pattern)
+                item = (built, steps)
                 bucket = table.setdefault(rule.lhs, set())
                 if item not in bucket:
                     bucket.add(item)
@@ -358,10 +356,3 @@ def enumerate_strings(grammar: CompiledGrammar, max_steps: int) -> set[str]:
     for parts, _ in table.get(start, ()):
         out.add(parts[0])
     return out
-
-
-def _join(pieces):
-    toks = []
-    for p in pieces:
-        toks.extend(p.split())
-    return " ".join(fuse_tokens(toks))

@@ -188,16 +188,15 @@ def validate_script(gold: GoldGrammar, script: list[ScriptLine]):
 
 
 def run_session(gold: GoldGrammar,
-                script: list[ScriptLine] | str) -> tuple[SessionLog, LearnerState]:
-    """Execute the script on a fresh learner: teach feeds the learner, probe
-    makes it speak and reinforces it with the verdict."""
-    if isinstance(script, str):
-        script = parse_script(script)
+                script: str) -> tuple[SessionLog, LearnerState]:
+    """Execute the script text on a fresh learner: teach feeds the learner,
+    probe makes it speak and reinforces it with the verdict."""
+    lines = parse_script(script)
     learner = LearnerState()
-    validate_script(gold, script)
+    validate_script(gold, lines)
     log = SessionLog()
     last_verdict: Verdict | None = None
-    for line in script:
+    for line in lines:
         if line.op == "teach":
             log.add("presented", line.ump)
             ingest(learner, line.ump)

@@ -50,9 +50,6 @@ class LambdaTerm:
 
     __slots__ = ()
 
-    def __call__(self, other: "LambdaTerm") -> "LambdaTerm":
-        return App(self, other)
-
 
 @dataclass(frozen=True, repr=False)
 class Var(LambdaTerm):

@@ -35,7 +35,7 @@ logical form).
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, insort_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import pairwise
@@ -417,24 +417,13 @@ def _compose(path: list[Step]) -> tuple[LambdaTerm, list[tuple]]:
     return (EMPTY if root is None else settle(root).term), deltas
 
 
-def _below(queue: list[SemItem], index: NodeIndex) -> int:
-    """The first place in queue, sorted by descending index, whose index is
-    below index."""
-    lo, hi = 0, len(queue)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if queue[mid].index < index:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
 def _semantic_rows(path: list[Step], deltas: list[tuple]) -> list[Step]:
     """The semantic trace of an accepting path: `_compose`'s deltas replayed
     on the queue, each row showing the queue before its change.  The scans
     push in path order, then the queue is sorted once in descending index
-    order; every combination and contraction is an apply row."""
+    order; every combination and contraction is an apply row.  After the
+    sort the queue is kept in ascending order, so that `insort_left` places
+    a combined item, and each row shows it reversed."""
     rows: list[Step] = []
     queue: list[SemItem] = []
     pushed = [d[1] for d in deltas if d[0] == "push"]
@@ -447,23 +436,25 @@ def _semantic_rows(path: list[Step], deltas: list[tuple]) -> list[Step]:
         if item.term is EMPTY:
             rows.append(Step("apply", None, after.input, tuple(queue)))
             queue.pop()
-    ordered = sorted(queue, key=attrgetter("index"), reverse=True)
-    if ordered != queue:
+    # reversed first, so that equal indices end in the order a stable
+    # descending sort gives them
+    ordered = sorted(reversed(queue), key=attrgetter("index"))
+    if ordered[::-1] != queue:
         rows.append(Step("sort", None, (), tuple(queue)))
     queue = ordered
     for kind, *items in deltas:
         if kind == "push":
             continue
-        rows.append(Step("apply", None, (), tuple(queue)))
+        rows.append(Step("apply", None, (), tuple(reversed(queue))))
         if kind == "combine":
             f, a, combined = items
             del queue[queue.index(f)]
             del queue[queue.index(a)]
-            queue.insert(_below(queue, combined.index), combined)
+            insort_left(queue, combined, key=attrgetter("index"))
         else:
             old, contracted = items
             queue[queue.index(old)] = contracted
-    rows.append(Step("understand", None, (), tuple(queue)))
+    rows.append(Step("understand", None, (), tuple(reversed(queue))))
     return rows
 
 

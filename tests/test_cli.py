@@ -251,6 +251,24 @@ def test_repl_survives_saving_to_a_directory(monkeypatch, capsys, tmp_path):
     assert out[2:] == ["ok, lexicon has 1 entries"]
 
 
+def test_repl_lexicon_of_an_empty_learner(monkeypatch, capsys):
+    lines = iter(["lexicon", "quit"])
+    monkeypatch.setattr("builtins.input", lambda *_: next(lines))
+    assert main(["repl"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["(empty)"]
+
+
+def test_learn_malformed_script_exit_code(teach_paths, tmp_path, capsys):
+    gold, _ = teach_paths
+    script = tmp_path / "bad.txt"
+    script.write_text("teach\tonly-two-fields\n", encoding="utf-8")
+    assert main(["learn", "--gold", gold, "--script", str(script)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: line 1: ")
+
+
 EMBEDDING = TABLE_ONE + "that\t::\t=c n -k\t\\p.that(p)\nrat\t::\tn\trat\n"
 HOMOPHONES = (TABLE_ONE + "old\t::\t=n n\t\\x.old(x)\n"
               + "old\t::\t=n n\t\\x.aged(x)\n")

@@ -4,12 +4,16 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 from iso import X1_TABLE, X21_TABLE, X3_TABLE, X41_TABLE, X4_TABLE, assert_isomorphic
+from test_transducer import tiered_lexicons
 
 from mgumt.fixtures import SESSION_SCRIPT, TABLE_ONE, teaching_gold
-from mgumt.grammar import complete_derivations, load_lexicon, save_lexicon
+from mgumt.grammar import (
+    LexiconError, Sign, complete_derivations, load_lexicon, save_lexicon,
+)
 from mgumt.learner import (
-    LearnerState, NoRepairFound, _overgeneralization_waived, _revise, align,
-    common_blocks, express, ingest, repair, semantic_diff,
+    LearnerState, NoRepairFound, _as_pseudo_sign, _gaps,
+    _overgeneralization_waived, _revise, align, common_blocks, express,
+    ingest, repair, semantic_diff,
 )
 from mgumt.mcfg import compile_grammar
 from mgumt.teacher import GoldGrammar, run_session
@@ -314,6 +318,52 @@ def test_learning_orders_pinned():
                 said = "<unrealizable>"
             digest.update(said.encode() + b"\n")
     assert digest.hexdigest() == ORDERS_SHA256
+
+
+@pytest.fixture(scope="module")
+def align_items():
+    """The fixture pairs, each also stored whole, and the entries of the
+    fixture grammars and of every lexicon that the fixture session and
+    ORDER_POOL, taught forwards and backwards, pass through."""
+    log, _ = run_session(GoldGrammar(teaching_gold()), SESSION_SCRIPT)
+    lexicons = [load_lexicon(TABLE_ONE), teaching_gold(),
+                *(lex for _, lex in log.snapshots())]
+    for order in (ORDER_POOL, ORDER_POOL[::-1]):
+        state = LearnerState()
+        for u in order:
+            lexicons.append(ingest(state, u).lexicon)
+    umps = ORDER_POOL + [UMP(*PUNISHED)]
+    entries = [e for lex in lexicons for e in lex.entries]
+    entries += map(_as_pseudo_sign, umps)
+    return umps + list(dict.fromkeys(entries))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tiered_lexicons(), st.data())
+def test_property_align_invariants(align_items, text, data):
+    # what the stagers take from `align` without checking it again; the
+    # second item shares a token with the first, if any item does
+    try:
+        items = align_items + list(load_lexicon(text).entries)
+    except LexiconError:
+        items = align_items
+    a = data.draw(st.sampled_from(items))
+    tokens = set(a.exponent.split())
+    b = data.draw(st.sampled_from(
+        [x for x in items if tokens & set(x.exponent.split())] or items))
+    al = align(a, b)
+    if al is None:
+        return
+    ra, rb = al.residue_exponents
+    assert ra and rb
+    if al.kind == "pair":
+        assert isinstance(b, Sign)
+        assert b.stype.features == _as_pseudo_sign(a).stype.features
+    elif al.kind == "window":
+        gaps = _gaps(a.exponent.split(), b.exponent.split(), al.blocks)
+        entry_side = [gap for gap in gaps if gap[1]]
+        if len(entry_side) == 1:
+            assert entry_side[0] == al.residue_exponents
 
 
 def test_factoring_conserves_exponents_and_meanings():
