@@ -44,16 +44,16 @@ def _lexicon(path: str):
 def cmd_parse(args) -> int:
     grammar = compile_grammar(_lexicon(args.lexicon))
     result = recognize(grammar, args.input)
-    print(result.render())
+    if result.accepted:
+        print(result.render())
+        return 0
     if not grammar.start_categories:
         empty = ParseRejected(0, frozenset(), empty_language=True)
         print(f"reject\t{empty}")
-        return 1
-    if not result.accepted:
+    else:
         print(f"reject\tposition {result.position}\t"
               f"expected: {', '.join(sorted(result.expected)) or 'end of input'}")
-        return 1
-    return 0
+    return 1
 
 
 def cmd_understand(args) -> int:

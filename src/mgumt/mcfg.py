@@ -315,7 +315,7 @@ def compile_grammar(lex: Lexicon) -> CompiledGrammar:
 
 
 def rule_dump(grammar: CompiledGrammar) -> str:
-    return "\n".join(render_rule(r) for r in grammar.rules) + "\n"
+    return "".join(render_rule(r) + "\n" for r in grammar.rules)
 
 
 # --- bounded string enumeration (equivalence oracle) ----------------------------

@@ -156,24 +156,19 @@ class SessionLog:
         return "\n".join(out) + "\n"
 
     def to_script(self) -> str:
-        """A script that replays this session verbatim."""
+        """A script that replays this session verbatim.  `run_session` logs
+        each verdict right after the probe it answers, so its `expect`
+        line goes where the verdict is."""
         lines = []
-        events = self.events
-        for i, e in enumerate(events):
+        for e in self.events:
             if e.kind == "presented":
                 ump = e.payload[0]
                 lines.append(f"teach\t{ump.exponent}\t{render_term(ump.meaning)}")
             elif e.kind in ("learner-said", "unrealizable"):
-                meaning = e.payload[-1]
-                lines.append(f"probe\t{render_term(meaning)}")
-                for later in events[i + 1:]:
-                    if later.kind == "verdict":
-                        word = "endorse" if later.payload[0] is Verdict.ENDORSE \
-                            else "reject"
-                        lines.append(f"expect\t{word}")
-                        break
-                    if later.kind in ("presented", "learner-said", "unrealizable"):
-                        break
+                lines.append(f"probe\t{render_term(e.payload[-1])}")
+            elif e.kind == "verdict":
+                word = "endorse" if e.payload[0] is Verdict.ENDORSE else "reject"
+                lines.append(f"expect\t{word}")
         return "\n".join(lines) + "\n"
 
 

@@ -18,14 +18,14 @@ order, that holds every scanned sign's semantics: the path's expansions,
 replayed bottom-up, say which items combine; wherever a rule concatenates
 the selector's or licensor's string with another, lambda application puts
 their meanings together, as merge and move do in the derivation engine.
-The meaning is one fold over the path, which keeps no queue and records
-only its deltas (items pushed, combined and contracted); the semantic
-trace is rebuilt from those deltas the first time it is read, so a caller
-that wants the meaning alone never pays for the rows.  `understand`
-composes the first path, `all_meanings` every one, and `match_meaning`
-each in turn until one means what it is asked about.  Every expansion's
-rule comes from one merge or move, so `derivation` replays a path, the same
-way, as the MG derivation tree it fixes.
+One function, `_compose`, folds the path into the meaning and keeps no
+queue unless it is asked for the rows.  The semantic trace is that
+composition run again, with its queue and rows, the first time the trace
+is read; so a caller that wants the meaning alone never pays for them.
+`understand` composes the first path, `all_meanings` every one, and
+`match_meaning` each in turn until one means what it is asked about.
+Every expansion's rule comes from one merge or move, so `derivation`
+replays a path, the same way, as the MG derivation tree it fixes.
 
 Production searches the derivation engine for the first complete
 derivation realizing a logical form, building only expressions whose
@@ -328,13 +328,11 @@ class SemItem:
 class UnderstandResult:
     meaning: LambdaTerm
     parse: RecognizeResult
-    # what the composition did to the semantic queue (see `_compose`)
-    deltas: list[tuple] = field(repr=False)
 
     @cached_property
     def steps(self) -> list[Step]:
-        """The semantic trace, rebuilt from the deltas on first read."""
-        return _semantic_rows(self.parse.steps, self.deltas)
+        """The semantic trace, composed again with its rows on first read."""
+        return _semantic_rows(self.parse.steps)
 
     def render(self) -> str:
         return "\n".join(f"{i}\t{s.render()}" for i, s in enumerate(self.steps, 1))
@@ -346,35 +344,39 @@ def understand(grammar: CompiledGrammar, utterance) -> UnderstandResult:
     if not parse.accepted:
         raise ParseRejected(parse.position, parse.expected,
                             empty_language=not grammar.start_categories)
-    meaning, deltas = _compose(parse.steps)
-    return UnderstandResult(meaning, parse, deltas)
+    return UnderstandResult(_compose(parse.steps), parse)
 
 
-def _compose(path: list[Step]) -> tuple[LambdaTerm, list[tuple]]:
-    """The meaning of an accepting path, and the deltas of its semantic
-    queue.
+def _compose(path: list[Step], rows: list[Step] | None = None) -> LambdaTerm:
+    """The meaning of an accepting path.  Given a list, it also keeps the
+    semantic queue and appends a row each time the queue changes, showing
+    the queue before the change.
 
     Every scan pushes its sign's semantics with the scanned node's index;
     an empty item vanishes by identity application as soon as it is pushed.
-    The accepted expansions, replayed bottom-up, say which items combine: a
-    rule component that concatenates two slots applies the selector's or
+    The queue is then sorted once in descending index order.  The accepted
+    expansions, replayed bottom-up, say which items combine: a rule
+    component that concatenates two slots applies the selector's or
     licensor's item (slot (0, 0)) to the other one, as merge and move do,
     and the combined item takes the parent of the deeper index; a
     single-slot component passes its item through, so a merge-3 or move-2
     chain keeps its meaning until it lands.  Redexes left in a combined
     item, or in the final one, are contracted one β-step at a time.  The
     rule's combine plan says which slots combine and which pass through.
+    Each combination and contraction is an apply row.
 
-    The meaning needs no queue, so none is kept: the deltas record each
-    item pushed ("push", item; in reverse path order), each combination
-    ("combine", function, argument, result) and each contraction
-    ("replace", item, contracted), and `_semantic_rows` replays them.
+    The meaning needs no queue, so without a list none is kept.  After the
+    sort the queue is kept in ascending order, so that `insort_left` places
+    a combined item, and each row shows it reversed.
     """
-    deltas: list[tuple] = []
     # each prediction's semantic item per component (None where empty), keyed
     # by id(): cheaper than hashing a QueueItem, and the path keeps them
     held: dict[int, tuple[SemItem | None, ...]] = {}
+    queue: list[SemItem] = []
     budget = MAX_REDUCTIONS
+
+    def row(op: str = "apply"):
+        rows.append(Step(op, None, (), tuple(reversed(queue))))
 
     def settle(item: SemItem) -> SemItem:
         nonlocal budget
@@ -383,18 +385,33 @@ def _compose(path: list[Step]) -> tuple[LambdaTerm, list[tuple]]:
             if budget <= 0:
                 raise NonTerminating("semantic queue did not settle")
             contracted = SemItem(reduced, item.index)
-            deltas.append(("replace", item, contracted))
+            if rows is not None:
+                row()
+                queue[queue.index(item)] = contracted
             item = contracted
         return item
 
+    for st, after in pairwise(path):
+        if st.op == "scan":
+            item = SemItem(st.rule.entry.semantics, st.queue[0].indices[0])
+            held[id(st.queue[0])] = (None if item.term is EMPTY else item,)
+            if rows is not None:
+                rows.append(Step("scan", st.rule, st.input, tuple(queue)))
+                queue.append(item)
+                if item.term is EMPTY:
+                    rows.append(Step("apply", None, after.input, tuple(queue)))
+                    queue.pop()
+    if rows is not None:
+        # reversed first, so that equal indices end in the order a stable
+        # descending sort gives them
+        ordered = sorted(reversed(queue), key=attrgetter("index"))
+        if ordered[::-1] != queue:
+            rows.append(Step("sort", None, (), tuple(queue)))
+        queue = ordered
     # a prediction is expanded or scanned after the expansion that made it,
     # so the reversed path reaches every expansion after its children
-    for after, (op, rule, _input, queue) in pairwise(reversed(path)):
-        if op == "scan":
-            item = SemItem(rule.entry.semantics, queue[0].indices[0])
-            deltas.append(("push", item))
-            held[id(queue[0])] = (None if item.term is EMPTY else item,)
-        elif op == "expand":
+    for after, (op, rule, _input, predicted) in pairwise(reversed(path)):
+        if op == "expand":
             children = [held.pop(id(c)) for c in after.queue[:len(rule.rhs)]]
             comps = []
             for function, (r, c) in rule.combine:
@@ -410,51 +427,24 @@ def _compose(path: list[Step]) -> tuple[LambdaTerm, list[tuple]]:
                 stepped = beta_step(term)
                 combined = SemItem(term if stepped is None else stepped,
                                    max(f.index, a.index).parent())
-                deltas.append(("combine", f, a, combined))
+                if rows is not None:
+                    row()
+                    queue.remove(f)
+                    queue.remove(a)
+                    insort_left(queue, combined, key=attrgetter("index"))
                 comps.append(settle(combined))
-            held[id(queue[0])] = tuple(comps)
+            held[id(predicted[0])] = tuple(comps)
     (root,) = held[id(path[0].queue[0])]
-    return (EMPTY if root is None else settle(root).term), deltas
+    meaning = EMPTY if root is None else settle(root).term
+    if rows is not None:
+        row("understand")
+    return meaning
 
 
-def _semantic_rows(path: list[Step], deltas: list[tuple]) -> list[Step]:
-    """The semantic trace of an accepting path: `_compose`'s deltas replayed
-    on the queue, each row showing the queue before its change.  The scans
-    push in path order, then the queue is sorted once in descending index
-    order; every combination and contraction is an apply row.  After the
-    sort the queue is kept in ascending order, so that `insort_left` places
-    a combined item, and each row shows it reversed."""
+def _semantic_rows(path: list[Step]) -> list[Step]:
+    """The semantic trace of an accepting path: `_compose` with a list."""
     rows: list[Step] = []
-    queue: list[SemItem] = []
-    pushed = [d[1] for d in deltas if d[0] == "push"]
-    for st, after in zip(path, path[1:]):
-        if st.op != "scan":
-            continue
-        rows.append(Step("scan", st.rule, st.input, tuple(queue)))
-        item = pushed.pop()
-        queue.append(item)
-        if item.term is EMPTY:
-            rows.append(Step("apply", None, after.input, tuple(queue)))
-            queue.pop()
-    # reversed first, so that equal indices end in the order a stable
-    # descending sort gives them
-    ordered = sorted(reversed(queue), key=attrgetter("index"))
-    if ordered[::-1] != queue:
-        rows.append(Step("sort", None, (), tuple(queue)))
-    queue = ordered
-    for kind, *items in deltas:
-        if kind == "push":
-            continue
-        rows.append(Step("apply", None, (), tuple(reversed(queue))))
-        if kind == "combine":
-            f, a, combined = items
-            del queue[queue.index(f)]
-            del queue[queue.index(a)]
-            insort_left(queue, combined, key=attrgetter("index"))
-        else:
-            old, contracted = items
-            queue[queue.index(old)] = contracted
-    rows.append(Step("understand", None, (), tuple(reversed(queue))))
+    _compose(path, rows)
     return rows
 
 
@@ -525,7 +515,7 @@ def _readings(grammar: CompiledGrammar, utterance: str):
     accepts them; a reader that stops early parses no further."""
     seen = set()
     for path in _parses(grammar, utterance):
-        meaning, _deltas = _compose(path)
+        meaning = _compose(path)
         key = alpha_canonical(meaning)
         if key not in seen:
             seen.add(key)

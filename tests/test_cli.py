@@ -41,6 +41,27 @@ def test_parse_reject_exit_code(gold_path, capsys):
     assert "reject" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("text,sentence", [
+    (TABLE_ONE, "mouse the eats cheese"),
+    ("mouse\t::\tn\tmouse\n", "mouse"),
+], ids=["misordered", "empty-language"])
+def test_parse_rejection_prints_one_line(text, sentence, tmp_path, capsys):
+    # a rejected parse has no trace to print, not even a blank line
+    path = tmp_path / "lex.mg"
+    path.write_text(text, encoding="utf-8")
+    assert main(["parse", "--lexicon", str(path), "--input", sentence]) == 1
+    [line] = capsys.readouterr().out.splitlines()
+    assert line.startswith("reject\t")
+
+
+def test_compile_without_start_category(tmp_path, capsys):
+    # a lexicon that derives no c compiles to no rules, and prints none
+    path = tmp_path / "lex.mg"
+    path.write_text("mouse\t::\tn\tmouse\n", encoding="utf-8")
+    assert main(["compile", "--lexicon", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("command,row", [
     ("parse", "reject\tposition 4\texpected: end of input"),
     ("understand", "reject\trejected at token 4; expected one of: end of input"),

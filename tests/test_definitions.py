@@ -1,6 +1,6 @@
-"""Every module-level function and class in `src/mgumt/` is named somewhere
-other than its own definition: in `src/`, `tests/`, `scripts/` or
-`perfbench/`.
+"""Every module-level function and class in `src/mgumt/`, and every method
+and property of those classes but the dunders, is named somewhere other
+than its own definition: in `src/`, `tests/`, `scripts/` or `perfbench/`.
 
 A name counts where code reads it, imports it, or spells it in a string
 (`monkeypatch.setattr` and the benchmark's tracer name their targets so);
@@ -14,7 +14,8 @@ ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted((ROOT / "src/mgumt").glob("*.py"))
 READERS = sorted(p for d in ("src", "tests", "scripts", "perfbench")
                  for p in (ROOT / d).rglob("*.py"))
-DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+DEFINITIONS = (*FUNCTIONS, ast.ClassDef)
 
 
 def names_in(node: ast.AST) -> set[str]:
@@ -38,21 +39,45 @@ def names_in(node: ast.AST) -> set[str]:
     return names
 
 
+def named_by(stmt: ast.stmt, own: bool) -> set[str]:
+    """The names stmt names; with own, not a definition's own name within
+    that definition, nor a method's within that method."""
+    if not (own and isinstance(stmt, DEFINITIONS)):
+        return names_in(stmt)
+    if isinstance(stmt, ast.ClassDef):
+        body = stmt.body[1:] if ast.get_docstring(stmt) is not None else stmt.body
+        parts = [*stmt.decorator_list, *stmt.bases, *stmt.keywords]
+        names = set().union(*map(names_in, parts),
+                            *(named_by(s, True) for s in body))
+    else:
+        names = names_in(stmt)
+    return names - {stmt.name}
+
+
+def definitions(tree: ast.Module):
+    """(qualified name, name) of each top-level definition and of each
+    method or property of a top-level class but the dunders."""
+    for stmt in tree.body:
+        if isinstance(stmt, DEFINITIONS):
+            yield stmt.name, stmt.name
+        if isinstance(stmt, ast.ClassDef):
+            for member in stmt.body:
+                if (isinstance(member, FUNCTIONS)
+                        and not member.name.startswith("__")):
+                    yield f"{stmt.name}.{member.name}", member.name
+
+
 def dead_definitions(modules: dict[str, str], readers: dict[str, str]) -> list[str]:
-    """`module.name` for each top-level definition in modules (path ->
-    source) that no top-level statement of readers names, its own
-    definition apart."""
+    """`module.name` for each definition in modules (path -> source) that
+    no top-level statement of readers names, its own definition apart."""
     named = set()
     for path, source in readers.items():
         for stmt in ast.parse(source).body:
-            names = names_in(stmt)
-            if path in modules and isinstance(stmt, DEFINITIONS):
-                names.discard(stmt.name)
-            named |= names
-    return [f"{Path(path).stem}.{stmt.name}"
+            named |= named_by(stmt, path in modules)
+    return [f"{Path(path).stem}.{qualified}"
             for path, source in modules.items()
-            for stmt in ast.parse(source).body
-            if isinstance(stmt, DEFINITIONS) and stmt.name not in named]
+            for qualified, name in definitions(ast.parse(source))
+            if name not in named]
 
 
 def test_no_dead_definitions():
@@ -72,3 +97,17 @@ def test_check_sees_a_dead_definition():
               "setattr(object(), 'm.Patched', None)\n")
     assert dead_definitions({"m.py": module},
                             {"m.py": module, "r.py": reader}) == ["m.used", "m.dead"]
+
+
+def test_check_sees_a_dead_method():
+    module = ("class Box:\n"
+              '    """Not `hidden`."""\n'
+              "    def __init__(self):\n        self.kept = self.used()\n\n"
+              "    def used(self):\n        return 1\n\n"
+              "    def dead(self):\n        return self.dead()\n\n"
+              "    @property\n    def shown(self):\n        return 2\n\n"
+              "    @property\n    def hidden(self):  # hidden\n        return 3\n")
+    reader = "from m import Box\nBox().shown\n"
+    assert dead_definitions({"m.py": module},
+                            {"m.py": module, "r.py": reader}) == [
+        "m.Box.dead", "m.Box.hidden"]

@@ -475,7 +475,7 @@ def test_property_derivation_agrees_with_compose_and_closure(text):
     for sentence in sorted(sentences.union(DEEPER.get(text, ()))):
         readings = {}
         for path in transducer._parses(grammar, sentence):
-            meaning, _deltas = transducer._compose(path)
+            meaning = transducer._compose(path)
             tree = derivation(path)
             assert alpha_equivalent(tree.sign.semantics, meaning), (text, sentence)
             assert expression_key(replay(tree)) == expression_key(tree.expression)
@@ -487,6 +487,32 @@ def test_property_derivation_agrees_with_compose_and_closure(text):
             twin = closure.get((sentence, key))
             if twin is not None:
                 assert derivation_record(twin) in records, (text, sentence)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(tiered_lexicons(), st.sampled_from(sorted(DEEPER))))
+def test_property_trace_ends_in_the_meaning(text):
+    # the semantic trace, composed again when read, ends where the meaning
+    # composed without it did: one item meaning the same, or none for EMPTY
+    try:
+        lex = load_lexicon(text)
+    except LexiconError:
+        return      # a drawn entry repeats another
+    grammar = compile_grammar(lex)
+    sentences = {t.sign.exponent for t in complete_derivations(lex, 16).complete}
+    for sentence in sorted(sentences.union(DEEPER.get(text, ()))):
+        try:
+            understood = understand(grammar, sentence)
+        except ParseRejected:
+            continue
+        assert understood.steps is understood.steps
+        last = understood.steps[-1]
+        assert last.op == "understand", (text, sentence)
+        if understood.meaning is EMPTY:
+            assert last.queue == (), (text, sentence)
+        else:
+            [item] = last.queue
+            assert alpha_equivalent(item.term, understood.meaning), (text, sentence)
 
 
 @pytest.mark.parametrize("text,sentence", [
